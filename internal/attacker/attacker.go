@@ -25,7 +25,6 @@ import (
 
 	"policyanon/internal/geo"
 	"policyanon/internal/lbs"
-	"policyanon/internal/location"
 )
 
 // Awareness selects the attacker class of Section III.
@@ -91,69 +90,21 @@ func (b Breach) String() string {
 // k-anonymity on this snapshot) and the minimum candidate-set size over
 // all issued cloaks.
 //
-// Candidate-set sizes are computed from the policy's group structure (for
-// policy-aware attackers the candidate set IS the cloaking group) and a
-// spatial grid index (for the policy-unaware containment counts), so the
-// audit runs in near-linear time in |D| rather than |D| x groups.
+// Candidate-set sizes come from the assignment's Survey (for policy-aware
+// attackers the candidate set IS the cloaking group; the policy-unaware
+// containment counts come from its grid), so the audit is linear in |D|
+// the first time an assignment is surveyed and O(groups) after that.
 func Audit(a *lbs.Assignment, k int, aw Awareness) (breaches []Breach, minAnonymity int) {
-	if a.Len() == 0 {
-		return nil, 0
-	}
-	minAnonymity = a.Len() + 1
-	var grid *location.Grid
-	if aw == PolicyUnaware {
-		// Tight bounds over the snapshot suffice: users outside a cloak's
-		// overlap with the population bounds cannot be candidates anyway.
-		g, err := location.NewGrid(a.DB(), a.DB().Bounds(), 0)
-		if err == nil {
-			grid = g
-		}
-	}
-	for _, g := range a.Groups() {
-		var n int
-		switch {
-		case aw == PolicyAware:
-			n = len(g.Members)
-		case grid != nil:
-			n = grid.CountInClosed(g.Cloak)
-		default:
-			n = len(Candidates(a, g.Cloak, aw))
-		}
-		if n < minAnonymity {
-			minAnonymity = n
-		}
-		if n < k {
-			breaches = append(breaches, Breach{Cloak: g.Cloak, Candidates: Candidates(a, g.Cloak, aw)})
-		}
-	}
-	return breaches, minAnonymity
+	return SurveyOf(a).Audit(k, aw)
 }
 
 // GroupSizes returns the candidate-set size of every issued cloak (one
 // entry per cloaking group, in Groups order) under the given attacker
 // class — the full achieved-anonymity distribution the audit layer
-// summarizes as min/p50/p95. Like Audit it only reads the assignment, so
-// concurrent calls over one assignment are safe.
+// summarizes as min/p50/p95. Like Audit it reads the assignment's Survey,
+// so concurrent calls over one assignment are safe.
 func GroupSizes(a *lbs.Assignment, aw Awareness) []int {
-	groups := a.Groups()
-	sizes := make([]int, len(groups))
-	var grid *location.Grid
-	if aw == PolicyUnaware {
-		if g, err := location.NewGrid(a.DB(), a.DB().Bounds(), 0); err == nil {
-			grid = g
-		}
-	}
-	for i, g := range groups {
-		switch {
-		case aw == PolicyAware:
-			sizes[i] = len(g.Members)
-		case grid != nil:
-			sizes[i] = grid.CountInClosed(g.Cloak)
-		default:
-			sizes[i] = len(Candidates(a, g.Cloak, aw))
-		}
-	}
-	return sizes
+	return SurveyOf(a).GroupSizes(aw)
 }
 
 // IsKAnonymous reports whether the policy provides sender k-anonymity on

@@ -1,6 +1,8 @@
 package attacker
 
 import (
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -190,29 +192,86 @@ func TestDefinitionSixWitness(t *testing.T) {
 	}
 }
 
-// GroupSizes must agree with Candidates on every issued cloak, under both
-// attacker classes.
-func TestGroupSizesMatchCandidates(t *testing.T) {
-	db := exampleDB(t)
-	pol := kInsidePolicy(t, db)
-	for _, aw := range []Awareness{PolicyAware, PolicyUnaware} {
-		sizes := GroupSizes(pol, aw)
-		groups := pol.Groups()
-		if len(sizes) != len(groups) {
-			t.Fatalf("%v: %d sizes for %d groups", aw, len(sizes), len(groups))
+// Every count the survey serves — GroupSizes, Audit's minimum and
+// breaches, Count of an issued and of an unissued rectangle — must agree
+// with a Candidates scan, under both attacker classes, on the paper's
+// Example 1 and on the degenerate snapshots where a grid over the tight
+// population bounds is a single cell, has nothing to index, or cannot be
+// built at all.
+func TestSurveyMatchesCandidates(t *testing.T) {
+	assign := func(recs []location.Record, cloaks []geo.Rect) *lbs.Assignment {
+		t.Helper()
+		db, err := location.FromRecords(recs)
+		if err != nil {
+			t.Fatal(err)
 		}
-		minSize := pol.Len() + 1
-		for i, g := range groups {
-			want := len(Candidates(pol, g.Cloak, aw))
-			if sizes[i] != want {
-				t.Errorf("%v group %d size %d, want %d", aw, i, sizes[i], want)
-			}
-			if sizes[i] < minSize {
-				minSize = sizes[i]
-			}
+		a, err := lbs.NewAssignment(db, cloaks)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, minAudit := Audit(pol, 2, aw); minAudit != minSize {
-			t.Errorf("%v: Audit min %d != GroupSizes min %d", aw, minAudit, minSize)
+		return a
+	}
+	at := func(id string, x, y int32) location.Record {
+		return location.Record{UserID: id, Loc: geo.Point{X: x, Y: y}}
+	}
+	spot := geo.NewRect(7, 7, 7, 7) // closed: exactly the point (7,7)
+	all := geo.NewRect(0, 0, 16, 16)
+	edge := geo.Rect{MinX: 9, MinY: 0, MaxX: math.MaxInt32, MaxY: 8}
+	cases := []struct {
+		name     string
+		pol      *lbs.Assignment
+		fallback bool // no grid: counts come from scans
+	}{
+		{name: "example 1", pol: kInsidePolicy(t, exampleDB(t))},
+		{name: "empty DB", pol: assign(nil, nil)},
+		{name: "one user", pol: assign([]location.Record{at("solo", 7, 7)}, []geo.Rect{spot})},
+		{name: "all users co-located, one cloak", pol: assign(
+			[]location.Record{at("a", 7, 7), at("b", 7, 7), at("c", 7, 7)}, []geo.Rect{spot, spot, spot})},
+		{name: "all users co-located, cloaks of different sizes", pol: assign(
+			[]location.Record{at("a", 7, 7), at("b", 7, 7), at("c", 7, 7)}, []geo.Rect{spot, all, spot})},
+		{name: "every user alone in its cloak", pol: assign(
+			[]location.Record{at("a", 1, 1), at("b", 2, 2), at("c", 12, 3), at("d", 5, 14)},
+			[]geo.Rect{geo.NewRect(1, 1, 1, 1), geo.NewRect(0, 0, 2, 2), geo.NewRect(12, 3, 12, 3), geo.NewRect(4, 13, 6, 15)})},
+		{name: "coordinate at the int32 limit", fallback: true, pol: assign(
+			[]location.Record{at("a", 9, 1), at("b", math.MaxInt32, 5), at("c", 2, 2)},
+			[]geo.Rect{edge, edge, geo.NewRect(0, 0, 4, 4)})},
+	}
+	for _, tc := range cases {
+		pol, groups := tc.pol, tc.pol.Groups()
+		survey := SurveyOf(pol)
+		if got := survey.IndexErr() != nil; got != tc.fallback {
+			t.Errorf("%s: grid fallback = %v (%v), want %v", tc.name, got, survey.IndexErr(), tc.fallback)
+		}
+		for _, aw := range []Awareness{PolicyAware, PolicyUnaware} {
+			sizes := GroupSizes(pol, aw)
+			if len(sizes) != len(groups) {
+				t.Fatalf("%s, %v: %d sizes for %d groups", tc.name, aw, len(sizes), len(groups))
+			}
+			wantMin := pol.Len() + 1
+			if pol.Len() == 0 {
+				wantMin = 0
+			}
+			var wantBreaches []Breach
+			for i, g := range groups {
+				cands := Candidates(pol, g.Cloak, aw)
+				if sizes[i] != len(cands) || survey.Count(g.Cloak, aw) != len(cands) {
+					t.Errorf("%s, %v: cloak %v sized %d by GroupSizes, %d by Count, %d by Candidates",
+						tc.name, aw, g.Cloak, sizes[i], survey.Count(g.Cloak, aw), len(cands))
+				}
+				wantMin = min(wantMin, len(cands))
+				if len(cands) < 2 {
+					wantBreaches = append(wantBreaches, Breach{Cloak: g.Cloak, Candidates: cands})
+				}
+			}
+			if breaches, minAudit := Audit(pol, 2, aw); minAudit != wantMin || !reflect.DeepEqual(breaches, wantBreaches) {
+				t.Errorf("%s, %v: Audit = %v, min %d; Candidates gives %v, min %d",
+					tc.name, aw, breaches, minAudit, wantBreaches, wantMin)
+			}
+			// A rectangle the policy does not issue.
+			other := geo.NewRect(1, 1, 13, 7)
+			if got, want := survey.Count(other, aw), len(Candidates(pol, other, aw)); got != want {
+				t.Errorf("%s, %v: unissued %v counted %d, Candidates finds %d", tc.name, aw, other, got, want)
+			}
 		}
 	}
 }

@@ -13,7 +13,9 @@
 //     sampled request, computes the candidate-sender set of the observed
 //     cloak under both attacker.Awareness modes plus its utility measures.
 //   - Policy-change events (snapshot installs, movement recomputes) are
-//     audited in full via attacker.Audit, which is near-linear in |D|.
+//     audited in full. Both read the assignment's attacker.Survey, so a
+//     version the publish gate already verified is audited in O(groups)
+//     and a sampled request in O(1).
 //   - Results feed three sinks at once: Prometheus metric families in a
 //     metrics.Registry (anon_achieved_k, anon_breach_total,
 //     anon_cloak_area, audit_sampled_total), a rolling window that
@@ -22,9 +24,9 @@
 //     span, all carrying the request ID minted by the HTTP layer so one
 //     breach correlates across log, trace, and metric.
 //
-// Everything is safe for concurrent use; attacker.Audit and
-// attacker.Candidates only read the assignment, so samplers may run on
-// request goroutines without coordination beyond the Auditor's own state.
+// Everything is safe for concurrent use; a Survey only reads its
+// assignment, so samplers may run on request goroutines without
+// coordination beyond the Auditor's own state.
 package audit
 
 import (
@@ -47,8 +49,8 @@ import (
 )
 
 // DefaultRate is the default request-path sampling rate: one audited
-// request per 64 served. At this rate the O(|D|) candidate scan amortizes
-// to well under the <5% overhead budget the benchmark gate enforces.
+// request per 64 served, which keeps the three sinks' bookkeeping well
+// under the <5% overhead budget the benchmark gate enforces.
 const DefaultRate = 1.0 / 64
 
 // DefaultWindow is the default rolling-window capacity (samples retained
@@ -155,18 +157,6 @@ type Auditor struct {
 	requestAudits int64
 	breachAware   int64
 	breachUnaware int64
-
-	// Per-cloak candidate-set sizes, memoized per assignment. Assignments
-	// are immutable once built (policy changes produce a new one), so
-	// their monotonic Version keys the cache generation; cloaks repeat
-	// across requests, so after the first sample per cloak the
-	// request-path audit is O(1). When a new assignment is a delta of the
-	// cached one, only the entries its delta could have invalidated are
-	// evicted, so the memo survives delta publishes instead of restarting
-	// cold every batch.
-	kmu    sync.Mutex
-	kVer   uint64
-	kCache map[geo.Rect][2]int
 }
 
 // New returns an Auditor recording into reg.
@@ -284,15 +274,17 @@ func (a *Auditor) ObservePolicy(ctx context.Context, engineName string, pol *lbs
 	if pol.Len() == 0 {
 		return s
 	}
-	awBreaches, minAware := attacker.Audit(pol, k, attacker.PolicyAware)
-	unBreaches, minUnaware := attacker.Audit(pol, k, attacker.PolicyUnaware)
+	survey := attacker.SurveyOf(pol)
+	awBreaches, minAware := survey.Audit(k, attacker.PolicyAware)
+	unBreaches, minUnaware := survey.Audit(k, attacker.PolicyUnaware)
 	s.MinKAware = minAware
 	s.MinKUnaware = minUnaware
 	s.BreachesAware = len(awBreaches)
 	s.BreachesUnaware = len(unBreaches)
 	s.Cost = pol.Cost()
-	s.AvgCloakArea = pol.AvgArea()
-	s.Groups = len(pol.Groups())
+	s.AvgCloakArea = float64(s.Cost) / float64(s.Users)
+	s.Groups = len(survey.Groups())
+	a.countIndexFallback(survey)
 
 	a.reg.Counter("audit_sampled:" + engineName + "/policy").Inc()
 	a.observeK(engineName, minAware, minUnaware)
@@ -307,21 +299,13 @@ func (a *Auditor) ObservePolicy(ctx context.Context, engineName string, pol *lbs
 
 	a.record(ctx, ledger.KindPolicyAudit, engineName, s)
 
-	if s.BreachesAware > 0 {
-		var first geo.Rect
-		if len(awBreaches) > 0 {
-			first = awBreaches[0].Cloak
-		}
+	if len(awBreaches) > 0 {
 		a.breach(ctx, logger, engineName, attacker.PolicyAware, minAware, k,
-			s.BreachesAware, first)
+			len(awBreaches), awBreaches[0].Cloak)
 	}
-	if s.BreachesUnaware > 0 {
-		var first geo.Rect
-		if len(unBreaches) > 0 {
-			first = unBreaches[0].Cloak
-		}
+	if len(unBreaches) > 0 {
 		a.breach(ctx, logger, engineName, attacker.PolicyUnaware, minUnaware, k,
-			s.BreachesUnaware, first)
+			len(unBreaches), unBreaches[0].Cloak)
 	}
 	return s
 }
@@ -338,63 +322,28 @@ type RequestSample struct {
 }
 
 // candidateSizes returns the candidate-set sizes of cloak under both
-// attacker classes, memoized per (assignment, cloak): the first sample of
-// a cloak pays two O(|D|) attacker.Candidates scans, repeats are a map
-// lookup. The cache resets when a different assignment comes in.
+// attacker classes from the assignment's survey: two O(1) lookups for a
+// cloak the policy issues. The first sample of a never-surveyed
+// assignment builds the survey (O(|D|)); serving surfaces audit every
+// policy before they serve from it, so requests find it built.
 func (a *Auditor) candidateSizes(pol *lbs.Assignment, cloak geo.Rect) (aware, unaware int) {
-	ver := pol.Version()
-	a.kmu.Lock()
-	if a.kVer != ver || a.kCache == nil {
-		if d := pol.Delta(); d != nil && d.ParentVersion == a.kVer && a.kCache != nil {
-			a.evictDeltaLocked(d)
-		} else {
-			a.kCache = make(map[geo.Rect][2]int)
-		}
-		a.kVer = ver
-	}
-	if v, ok := a.kCache[cloak]; ok {
-		a.kmu.Unlock()
-		return v[0], v[1]
-	}
-	a.kmu.Unlock()
-	aware = len(attacker.Candidates(pol, cloak, attacker.PolicyAware))
-	unaware = len(attacker.Candidates(pol, cloak, attacker.PolicyUnaware))
-	a.kmu.Lock()
-	if a.kVer == ver {
-		a.kCache[cloak] = [2]int{aware, unaware}
-	}
-	a.kmu.Unlock()
-	return aware, unaware
+	survey := attacker.SurveyOf(pol)
+	a.countIndexFallback(survey)
+	return survey.Count(cloak, attacker.PolicyAware), survey.Count(cloak, attacker.PolicyUnaware)
 }
 
-// evictDeltaLocked drops exactly the memo entries a delta publish could
-// have invalidated: a cloak's policy-aware candidate set (users assigned
-// that cloak verbatim) changes only for the Old/New rectangles of a cloak
-// rewrite, and its policy-unaware set (users geometrically inside it)
-// changes only for cloaks containing a move's From or To point — the same
-// soundness argument as verify.Delta. Everything else stays cached.
-func (a *Auditor) evictDeltaLocked(d *lbs.Delta) {
-	for _, c := range d.Cloaks {
-		delete(a.kCache, c.Old)
-		delete(a.kCache, c.New)
-	}
-	if len(d.Moves) == 0 {
-		return
-	}
-	for rect := range a.kCache {
-		for _, mv := range d.Moves {
-			if rect.ContainsClosed(mv.From) || rect.ContainsClosed(mv.To) {
-				delete(a.kCache, rect)
-				break
-			}
-		}
+// countIndexFallback makes a survey without a grid visible: its
+// policy-unaware counts were full scans of D, one per cloak.
+func (a *Auditor) countIndexFallback(survey *attacker.Survey) {
+	if survey.IndexErr() != nil {
+		a.reg.Counter("audit_index_fallback").Inc()
 	}
 }
 
 // ObserveRequest audits one served anonymized request unconditionally:
-// the candidate sets of its cloak are computed under both attacker
-// classes via the per-cloak memo (worst case two O(|D|) scans — this is
-// why the serving path goes through MaybeObserveRequest instead).
+// the candidate-set sizes of its cloak under both attacker classes, read
+// from the assignment's survey, go to all three sinks (the serving path
+// samples through MaybeObserveRequest instead).
 func (a *Auditor) ObserveRequest(ctx context.Context, engineName string, pol *lbs.Assignment, cloak geo.Rect, k int) RequestSample {
 	nAware, nUnaware := a.candidateSizes(pol, cloak)
 	s := RequestSample{

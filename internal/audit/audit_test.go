@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"log/slog"
+	"math"
 	"sync"
 	"testing"
 
@@ -216,6 +217,37 @@ func TestObserveRequestPerCloak(t *testing.T) {
 	}
 	if got := reg.Counter("anon_breach:ex1/policy-aware").Value(); got != 1 {
 		t.Errorf("safe cloak incremented the breach counter: %d", got)
+	}
+}
+
+// A snapshot the grid cannot index (a coordinate at the int32 limit) is
+// still audited correctly — by scans — and every such audit is counted.
+func TestIndexFallbackIsCounted(t *testing.T) {
+	db, err := location.FromRecords([]location.Record{
+		{UserID: "a", Loc: geo.Point{X: 9, Y: 1}},
+		{UserID: "b", Loc: geo.Point{X: math.MaxInt32, Y: 5}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cloak := geo.Rect{MinX: 9, MinY: 0, MaxX: math.MaxInt32, MaxY: 8}
+	pol, err := lbs.NewAssignment(db, []geo.Rect{cloak, cloak})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	aud := audit.New(reg, audit.Options{})
+	if reg.Counter("audit_index_fallback").Value() != 0 {
+		t.Fatal("fallback counted before any audit")
+	}
+	if s := aud.ObservePolicy(context.Background(), "edge", pol, 2); s.MinKAware != 2 || s.MinKUnaware != 2 {
+		t.Fatalf("policy audited as (%d aware, %d unaware), want (2, 2)", s.MinKAware, s.MinKUnaware)
+	}
+	if s := aud.ObserveRequest(context.Background(), "edge", pol, cloak, 2); s.KAware != 2 || s.KUnaware != 2 {
+		t.Fatalf("request audited as (%d aware, %d unaware), want (2, 2)", s.KAware, s.KUnaware)
+	}
+	if got := reg.Counter("audit_index_fallback").Value(); got != 2 {
+		t.Fatalf("audit_index_fallback = %d after two audits without a grid, want 2", got)
 	}
 }
 

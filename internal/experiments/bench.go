@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -186,6 +187,13 @@ func (b *BulkDPBench) SpeedupGateNote() string {
 	return ""
 }
 
+// ErrSpeedupGate marks a BENCH_bulkdp.json document that is well formed
+// but misses the multi-worker speedup gate. The gate is a statement about
+// a recording machine and belongs to -check-bench on tracked baselines; a
+// unit test that only wants the document's shape tests for this error and
+// lets it pass, whatever the CPU count or load it runs under.
+var ErrSpeedupGate = errors.New("speedup gate")
+
 // LoadBulkDPBench decodes and validates a BENCH_bulkdp.json document; CI
 // uses it to fail on malformed or regressed benchmark output. Beyond
 // structure, it enforces the performance gates: steady-state allocations
@@ -243,16 +251,16 @@ func LoadBulkDPBench(r io.Reader) (*BulkDPBench, error) {
 		// the gate is skipped and SpeedupGateNote says so.
 	case b.NumCPU < 4:
 		if bestMulti < bulkDPSpeedupFloorSmall {
-			return nil, fmt.Errorf("experiments: BENCH_bulkdp.json best multi-worker speedup %.2fx below the relaxed %.1fx gate (numCPU=%d)",
-				bestMulti, bulkDPSpeedupFloorSmall, b.NumCPU)
+			return nil, fmt.Errorf("experiments: BENCH_bulkdp.json best multi-worker speedup %.2fx below the relaxed %.1fx gate (numCPU=%d): %w",
+				bestMulti, bulkDPSpeedupFloorSmall, b.NumCPU, ErrSpeedupGate)
 		}
 	default:
 		if speedup4 == 0 {
-			return nil, fmt.Errorf("experiments: BENCH_bulkdp.json sweep lacks the workers=4 row the speedup gate checks (numCPU=%d)", b.NumCPU)
+			return nil, fmt.Errorf("experiments: BENCH_bulkdp.json sweep lacks the workers=4 row (numCPU=%d): %w", b.NumCPU, ErrSpeedupGate)
 		}
 		if speedup4 < bulkDPSpeedupFloor {
-			return nil, fmt.Errorf("experiments: BENCH_bulkdp.json speedup %.2fx at 4 workers below the %.1fx gate (numCPU=%d)",
-				speedup4, bulkDPSpeedupFloor, b.NumCPU)
+			return nil, fmt.Errorf("experiments: BENCH_bulkdp.json speedup %.2fx at 4 workers below the %.1fx gate (numCPU=%d): %w",
+				speedup4, bulkDPSpeedupFloor, b.NumCPU, ErrSpeedupGate)
 		}
 	}
 	return &b, nil

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -74,22 +75,24 @@ func TestLoadBulkDPBenchGates(t *testing.T) {
 	if _, err := LoadBulkDPBench(strings.NewReader(doc(8, 8, fast4))); err != nil {
 		t.Errorf("multi-core 2.5x rejected: %v", err)
 	}
-	if _, err := LoadBulkDPBench(strings.NewReader(doc(8, 8, slow4))); err == nil {
-		t.Error("multi-core 1.1x @ 4 workers accepted, want speedup-gate failure")
+	// Speedup failures are ErrSpeedupGate (shape-only callers let them
+	// pass); the deterministic alloc gate is not.
+	if _, err := LoadBulkDPBench(strings.NewReader(doc(8, 8, slow4))); !errors.Is(err, ErrSpeedupGate) {
+		t.Errorf("multi-core 1.1x @ 4 workers: %v, want speedup-gate failure", err)
 	}
-	if _, err := LoadBulkDPBench(strings.NewReader(doc(8, 8, alloc4))); err == nil {
-		t.Error("46 allocs/op accepted, want zero-alloc-gate failure")
+	if _, err := LoadBulkDPBench(strings.NewReader(doc(8, 8, alloc4))); err == nil || errors.Is(err, ErrSpeedupGate) {
+		t.Errorf("46 allocs/op: %v, want zero-alloc-gate failure", err)
 	}
-	if _, err := LoadBulkDPBench(strings.NewReader(doc(8, 8, base))); err == nil {
-		t.Error("multi-core doc without a workers=4 row accepted")
+	if _, err := LoadBulkDPBench(strings.NewReader(doc(8, 8, base))); !errors.Is(err, ErrSpeedupGate) {
+		t.Errorf("multi-core doc without a workers=4 row: %v, want speedup-gate failure", err)
 	}
 	// Relaxed floor on a 2-core box: 1.4x passes, 1.1x fails.
 	relaxedOK := base + `,{"workers":2,"nsPerOp":71,"nodesPerSec":7,"allocsPerOp":0,"speedup":1.4}`
 	if _, err := LoadBulkDPBench(strings.NewReader(doc(2, 2, relaxedOK))); err != nil {
 		t.Errorf("2-core 1.4x rejected: %v", err)
 	}
-	if _, err := LoadBulkDPBench(strings.NewReader(doc(2, 2, slow4))); err == nil {
-		t.Error("2-core 1.1x accepted, want relaxed-gate failure")
+	if _, err := LoadBulkDPBench(strings.NewReader(doc(2, 2, slow4))); !errors.Is(err, ErrSpeedupGate) {
+		t.Errorf("2-core 1.1x: %v, want relaxed-gate failure", err)
 	}
 	// Single-core recording box: no speedup is measurable — the gate
 	// skips regardless of the recorded ratios, and the note says so.

@@ -10,7 +10,9 @@ package lbs
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"policyanon/internal/geo"
@@ -88,6 +90,17 @@ type Assignment struct {
 
 	version uint64
 	delta   *Delta
+
+	// memo is the assignment's one derived-value slot (see Memo).
+	memoMu sync.Mutex
+	memo   atomic.Pointer[memo]
+}
+
+// memo is a value derived from an assignment, tagged with the snapshot
+// version it was derived at.
+type memo struct {
+	dbVersion uint64
+	val       any
 }
 
 // Cloak pages hold 128 entries: small enough that rewriting one cloak
@@ -255,12 +268,57 @@ func (a *Assignment) DB() *location.DB { return a.db }
 // Len returns the number of users covered.
 func (a *Assignment) Len() int { return a.n }
 
+// Memo returns the value a previous Memo call derived from this
+// assignment, or calls build and keeps its result. The slot lives and dies
+// with the assignment, so a memoized value pins nothing the assignment does
+// not already pin; it holds one value, so an assignment has one kind of
+// memo (attacker.SurveyOf's policy survey). Concurrent callers build once.
+//
+// An assignment is immutable but its snapshot is only immutable by
+// convention (an engine's policy is bound to the live DB until it is
+// rebound to a clone), so the slot is keyed on the snapshot's Version: a
+// value derived before an in-place move is rebuilt, never served stale.
+func (a *Assignment) Memo(build func() any) any {
+	ver := a.db.Version()
+	if m := a.memo.Load(); m != nil && m.dbVersion == ver {
+		return m.val
+	}
+	a.memoMu.Lock()
+	defer a.memoMu.Unlock()
+	if m := a.memo.Load(); m != nil && m.dbVersion == ver {
+		return m.val
+	}
+	m := &memo{dbVersion: ver, val: build()}
+	a.memo.Store(m)
+	return m.val
+}
+
 // CloakAt returns the cloak of the i-th record.
 func (a *Assignment) CloakAt(i int) geo.Rect {
 	if a.cloaks != nil {
 		return a.cloaks[i]
 	}
 	return a.pages[i>>cloakPageShift][i&cloakPageMask]
+}
+
+// CloakRuns iterates the per-record cloaks in record order as contiguous
+// runs — the whole flat slice of a from-scratch assignment, one page at a
+// time for a delta-derived one — each with the record index of its first
+// entry. Full passes use it instead of CloakAt, which pays a storage-form
+// branch and a page-table hop per record. The runs are the assignment's
+// own storage: callers must not write to them.
+func (a *Assignment) CloakRuns() iter.Seq2[int, []geo.Rect] {
+	return func(yield func(int, []geo.Rect) bool) {
+		if a.cloaks != nil {
+			yield(0, a.cloaks)
+			return
+		}
+		for p, pg := range a.pages {
+			if !yield(p<<cloakPageShift, pg) {
+				return
+			}
+		}
+	}
 }
 
 // Cloaks returns a freshly allocated copy of the per-record cloaks in
@@ -302,8 +360,10 @@ func (a *Assignment) Anonymize(rid uint64, sr ServiceRequest) (AnonymizedRequest
 // user issues exactly one request.
 func (a *Assignment) Cost() int64 {
 	var c int64
-	for i := 0; i < a.n; i++ {
-		c += a.CloakAt(i).Area()
+	for _, run := range a.CloakRuns() {
+		for _, r := range run {
+			c += r.Area()
+		}
 	}
 	return c
 }
@@ -318,18 +378,48 @@ func (a *Assignment) AvgArea() float64 {
 
 // Groups returns the cloaking groups: for each distinct cloak, the indices
 // of users assigned to it, each group sorted ascending and the groups
-// ordered deterministically.
+// ordered deterministically. It is one O(|D|) pass plus a sort of the
+// distinct cloaks: records are numbered by group as they are met and then
+// counting-sorted into one shared backing array, which leaves every
+// group's members ascending without sorting them.
 func (a *Assignment) Groups() []Group {
-	byRect := make(map[geo.Rect][]int)
-	for i := 0; i < a.n; i++ {
-		byRect[a.CloakAt(i)] = append(byRect[a.CloakAt(i)], i)
+	// Number the distinct cloaks as they are first met.
+	gid := make([]int32, a.n) // record -> cloak number
+	number := make(map[geo.Rect]int32)
+	var cloaks []geo.Rect
+	var sizes []int
+	for base, run := range a.CloakRuns() {
+		for j, c := range run {
+			g, ok := number[c]
+			if !ok {
+				g = int32(len(cloaks))
+				number[c] = g
+				cloaks = append(cloaks, c)
+				sizes = append(sizes, 0)
+			}
+			sizes[g]++
+			gid[base+j] = g
+		}
 	}
-	groups := make([]Group, 0, len(byRect))
-	for r, members := range byRect {
-		sort.Ints(members)
-		groups = append(groups, Group{Cloak: r, Members: members})
+	order := make([]int32, len(cloaks)) // output position -> cloak number
+	for g := range order {
+		order[g] = int32(g)
 	}
-	sort.Slice(groups, func(i, j int) bool { return rectLess(groups[i].Cloak, groups[j].Cloak) })
+	sort.Slice(order, func(i, j int) bool { return rectLess(cloaks[order[i]], cloaks[order[j]]) })
+	members := make([]int, a.n)
+	groups := make([]Group, len(cloaks))
+	next := make([]int, len(cloaks)) // cloak number -> next free slot in members
+	off := 0
+	for pos, g := range order {
+		end := off + sizes[g]
+		groups[pos] = Group{Cloak: cloaks[g], Members: members[off:end:end]}
+		next[g] = off
+		off = end
+	}
+	for i, g := range gid {
+		members[next[g]] = i
+		next[g]++
+	}
 	return groups
 }
 

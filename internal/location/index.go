@@ -17,7 +17,12 @@ type Grid struct {
 	cell   int32
 	cols   int32
 	rows   int32
-	cells  [][]int32 // record indices per cell
+	// Record indices grouped by cell, ascending within a cell: cell c
+	// holds items[start[c]:start[c+1]]. Two flat arrays, not a slice per
+	// cell — a grid is built per published policy version and kept as
+	// long as it, so it should cost a few bytes per user.
+	start []int32
+	items []int32
 }
 
 // NewGrid indexes the snapshot. bounds must contain every location; a
@@ -38,14 +43,32 @@ func NewGrid(db *DB, bounds geo.Rect, cell int32) (*Grid, error) {
 		cols: int32((bounds.Width() + int64(cell) - 1) / int64(cell)),
 		rows: int32((bounds.Height() + int64(cell) - 1) / int64(cell)),
 	}
-	g.cells = make([][]int32, int(g.cols)*int(g.rows))
-	for i := 0; i < db.Len(); i++ {
-		p := db.At(i).Loc
-		if !bounds.Contains(p) {
-			return nil, fmt.Errorf("location: record %d at %v outside grid bounds %v", i, p, bounds)
+	// Counting sort of the records by cell.
+	g.start = make([]int32, int(g.cols)*int(g.rows)+1)
+	cellOf := make([]int32, db.Len())
+	var outside error
+	db.forEach(func(i int, r Record) {
+		if !bounds.Contains(r.Loc) {
+			if outside == nil {
+				outside = fmt.Errorf("location: record %d at %v outside grid bounds %v", i, r.Loc, bounds)
+			}
+			return
 		}
-		c := g.cellOf(p)
-		g.cells[c] = append(g.cells[c], int32(i))
+		c := g.cellOf(r.Loc)
+		cellOf[i] = int32(c)
+		g.start[c+1]++
+	})
+	if outside != nil {
+		return nil, outside
+	}
+	for c := 1; c < len(g.start); c++ {
+		g.start[c] += g.start[c-1]
+	}
+	g.items = make([]int32, db.Len())
+	next := append([]int32(nil), g.start[:len(g.start)-1]...)
+	for i, c := range cellOf {
+		g.items[next[c]] = int32(i)
+		next[c]++
 	}
 	return g, nil
 }
@@ -96,7 +119,8 @@ func (g *Grid) scan(r geo.Rect, visit func(int32)) {
 	y1 := (clampHi(r.MaxY, g.bounds.MaxY-1) - g.bounds.MinY) / g.cell
 	for cy := y0; cy <= y1; cy++ {
 		for cx := x0; cx <= x1; cx++ {
-			for _, i := range g.cells[int(cy)*int(g.cols)+int(cx)] {
+			c := int(cy)*int(g.cols) + int(cx)
+			for _, i := range g.items[g.start[c]:g.start[c+1]] {
 				visit(i)
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"policyanon/internal/geo"
 	"policyanon/internal/lbs"
 	"policyanon/internal/location"
+	"policyanon/internal/obs"
 	"policyanon/internal/workload"
 )
 
@@ -21,6 +22,7 @@ import (
 func TestPipelineDeltaPublishes(t *testing.T) {
 	const users, k = 300, 20
 	db := testDB(t, users, 5)
+	tracer := obs.NewTracer()
 	p, err := New(db, testBounds(), Config{
 		K:             k,
 		Strategy:      StrategyIncremental,
@@ -28,6 +30,7 @@ func TestPipelineDeltaPublishes(t *testing.T) {
 		FlushInterval: time.Millisecond,
 		MaxMoveMeters: -1,
 		VerifyEvery:   4,
+		BaseContext:   obs.WithTracer(context.Background(), tracer),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,6 +66,32 @@ func TestPipelineDeltaPublishes(t *testing.T) {
 	}
 	if snap.CloaksChanged >= users {
 		t.Fatalf("final delta snapshot rewrote %d cloaks of %d", snap.CloaksChanged, users)
+	}
+
+	// Every publish passed the gate inside a motion.verify span that says
+	// which verification ran and what it found.
+	modes := map[string]int64{}
+	for _, sp := range tracer.Spans() {
+		if sp.Name != "motion.verify" {
+			continue
+		}
+		attrs := map[string]string{}
+		for _, a := range sp.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		modes[attrs["mode"]]++
+		groups, _ := strconv.Atoi(attrs["groups"])
+		minAware, _ := strconv.Atoi(attrs["min_aware"])
+		minUnaware, _ := strconv.Atoi(attrs["min_unaware"])
+		if groups < 1 || minAware < k || minUnaware < minAware || attrs["unaware_index"] != "" {
+			t.Fatalf("motion.verify span attributes %v", attrs)
+		}
+	}
+	if modes["full"]+modes["delta"] != snap.Epoch || modes["full"] < 2 || modes["delta"] < modes["full"] {
+		t.Fatalf("motion.verify spans by mode %v over %d epochs at VerifyEvery=4", modes, snap.Epoch)
+	}
+	if st.LastVerifyMode == "" || st.LastVerifyMs <= 0 {
+		t.Fatalf("stats carry no last verify: %q, %v ms", st.LastVerifyMode, st.LastVerifyMs)
 	}
 }
 

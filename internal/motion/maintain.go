@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
+	"policyanon/internal/attacker"
 	"policyanon/internal/core"
 	"policyanon/internal/engine"
 	"policyanon/internal/geo"
 	"policyanon/internal/lbs"
 	"policyanon/internal/location"
+	"policyanon/internal/obs"
 	"policyanon/internal/verify"
 )
 
@@ -40,6 +43,16 @@ type maintainer struct {
 	// publishes counts successful publishes, driving the VerifyEvery
 	// full-verification cadence.
 	publishes int64
+	// lastVerify describes the most recent run of the publish gate (nil
+	// before the first, and always with SkipVerify).
+	lastVerify *verifyStat
+}
+
+// verifyStat is one run of the publish gate: which verification ran and
+// how long it took.
+type verifyStat struct {
+	mode string // "full" or "delta"
+	took time.Duration
 }
 
 // verifyError wraps a failure of the publish-gate verification. apply
@@ -191,7 +204,7 @@ func (m *maintainer) applyIncremental(ctx context.Context, moves map[int]geo.Poi
 				res.rowsExtracted = visited
 				res.cloaksChanged = len(changes)
 				res.delta = true
-				if verr := m.verifyPub(pub); verr != nil {
+				if verr := m.verifyPub(ctx, pub); verr != nil {
 					// The matrix baseline advanced past lastPub when
 					// ExtractDelta succeeded; the chain is broken.
 					m.lastPub = nil
@@ -222,7 +235,7 @@ func (m *maintainer) applyIncremental(ctx context.Context, moves map[int]geo.Poi
 	res.policy = pub
 	res.rowsExtracted = pub.Len()
 	res.cloaksChanged = pub.Len()
-	if verr := m.verifyPub(pub); verr != nil {
+	if verr := m.verifyPub(ctx, pub); verr != nil {
 		m.lastPub = nil
 		return applyResult{}, &verifyError{verr}
 	}
@@ -254,7 +267,7 @@ func (m *maintainer) applyRebuild(ctx context.Context, moves map[int]geo.Point) 
 		rowsExtracted: pub.Len(),
 		cloaksChanged: pub.Len(),
 	}
-	if verr := m.verifyPub(pub); verr != nil {
+	if verr := m.verifyPub(ctx, pub); verr != nil {
 		return applyResult{}, &verifyError{verr}
 	}
 	m.notePublished(pub)
@@ -307,32 +320,41 @@ func (m *maintainer) rebind(policy *lbs.Assignment) (*lbs.Assignment, error) {
 	return lbs.NewAssignment(policy.DB().Clone(), policy.Cloaks())
 }
 
-// verify is the defence-in-depth gate of every publish (unless disabled):
-// masking and k-anonymity re-derived from first principles.
-func (m *maintainer) verify(policy *lbs.Assignment) error {
+// verifyPub is the defence-in-depth gate of every publish (unless
+// disabled): masking and k-anonymity re-derived from first principles,
+// from the assignment being published and nothing else. Delta-derived
+// policies are verified delta-scoped (touched-record masking, no witness;
+// sound relative to the last fully verified ancestor) except every
+// VerifyEvery-th publish, which re-runs the full verification as the
+// anchor; VerifyEvery <= 1 verifies every publish in full. Full publishes
+// always verify in full. The gate runs in a motion.verify span that says
+// which verification ran and what it found.
+func (m *maintainer) verifyPub(ctx context.Context, pub *lbs.Assignment) error {
 	if m.cfg.SkipVerify {
 		return nil
 	}
-	if rep := verify.Policy(policy, m.cfg.K); !rep.OK() {
+	mode, check := "full", verify.Policy
+	if pub.Delta() != nil && m.cfg.VerifyEvery > 1 && (m.publishes+1)%int64(m.cfg.VerifyEvery) != 0 {
+		mode, check = "delta", verify.Delta
+	}
+	_, sp := obs.Start(ctx, "motion.verify")
+	start := time.Now()
+	rep := check(pub, m.cfg.K)
+	m.lastVerify = &verifyStat{mode: mode, took: time.Since(start)}
+	if sp != nil {
+		survey := attacker.SurveyOf(pub) // the one the check just built
+		sp.SetAttr("mode", mode)
+		sp.SetInt("groups", int64(len(survey.Groups())))
+		sp.SetInt("min_aware", int64(rep.MinAware))
+		sp.SetInt("min_unaware", int64(rep.MinUnaware))
+		if err := survey.IndexErr(); err != nil {
+			// No grid: the policy-unaware counts were |D| x groups scans.
+			sp.SetAttr("unaware_index", "scan: "+err.Error())
+		}
+		sp.End()
+	}
+	if !rep.OK() {
 		return fmt.Errorf("motion: refusing to publish: %s", rep.Problems[0])
 	}
 	return nil
-}
-
-// verifyPub gates one batch publish. Delta-derived policies are verified
-// delta-scoped (O(touched), sound relative to the last fully verified
-// ancestor) except every VerifyEvery-th publish, which re-runs the full
-// first-principles verification as the anchor; VerifyEvery <= 1 verifies
-// every publish in full. Full publishes always verify in full.
-func (m *maintainer) verifyPub(pub *lbs.Assignment) error {
-	if m.cfg.SkipVerify {
-		return nil
-	}
-	if pub.Delta() != nil && m.cfg.VerifyEvery > 1 && (m.publishes+1)%int64(m.cfg.VerifyEvery) != 0 {
-		if rep := verify.Delta(pub, m.cfg.K); !rep.OK() {
-			return fmt.Errorf("motion: refusing to publish: %s", rep.Problems[0])
-		}
-		return nil
-	}
-	return m.verify(pub)
 }

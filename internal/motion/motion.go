@@ -181,8 +181,9 @@ type Config struct {
 	// VerifyEvery sets the full-verification cadence for delta publishes:
 	// every VerifyEvery-th publish is verified in full (verify.Policy,
 	// including the Definition 6 witness), the others delta-scoped
-	// (verify.Delta, O(touched cloaks)). 0 or 1 verifies every publish in
-	// full. Full (non-delta) publishes are always verified in full.
+	// (verify.Delta: touched-record masking and no witness, about half
+	// the cost). 0 or 1 verifies every publish in full. Full (non-delta)
+	// publishes are always verified in full.
 	VerifyEvery int
 
 	// CheckpointEvery persists state every N applied batches through
@@ -342,6 +343,11 @@ type Stats struct {
 	Checkpoints    int64   `json:"checkpoints"`
 	LastBatch      int     `json:"lastBatch"`
 	LastApplyMs    float64 `json:"lastApplyMs"`
+	// LastVerifyMode is the publish gate's most recent verification —
+	// "full" or "delta", empty when none ran (SkipVerify) — and
+	// LastVerifyMs what it took; it is part of LastApplyMs.
+	LastVerifyMode string  `json:"lastVerifyMode"`
+	LastVerifyMs   float64 `json:"lastVerifyMs"`
 	Closed         bool    `json:"closed"`
 }
 
@@ -379,6 +385,7 @@ type Pipeline struct {
 	checkpoints    atomic.Int64
 	lastBatch      atomic.Int64
 	lastApplyNs    atomic.Int64
+	lastVerify     atomic.Pointer[verifyStat]
 	isClosed       atomic.Bool
 }
 
@@ -437,7 +444,7 @@ func (p *Pipeline) initialSnapshot(policy *lbs.Assignment) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.m.verify(pub); err != nil {
+	if err := p.m.verifyPub(p.cfg.BaseContext, pub); err != nil {
 		return nil, err
 	}
 	// Anchor the delta chain: subsequent incremental batches derive their
@@ -471,7 +478,7 @@ func (p *Pipeline) Config() Config { return p.cfg }
 
 // Stats returns a point-in-time view of the pipeline's accounting.
 func (p *Pipeline) Stats() Stats {
-	return Stats{
+	st := Stats{
 		Epoch:          p.Epoch(),
 		QueueDepth:     len(p.q),
 		QueueCapacity:  p.cfg.QueueCapacity,
@@ -493,6 +500,11 @@ func (p *Pipeline) Stats() Stats {
 		LastApplyMs:    float64(p.lastApplyNs.Load()) / 1e6,
 		Closed:         p.isClosed.Load(),
 	}
+	if v := p.lastVerify.Load(); v != nil {
+		st.LastVerifyMode = v.mode
+		st.LastVerifyMs = float64(v.took.Nanoseconds()) / 1e6
+	}
+	return st
 }
 
 // Validate checks one update against the published snapshot without
@@ -783,6 +795,7 @@ func (p *Pipeline) applyBatch(base context.Context, batch []queued) (fellBack bo
 
 // publish swaps the snapshot front buffer and notifies the observer.
 func (p *Pipeline) publish(s *Snapshot) {
+	p.lastVerify.Store(p.m.lastVerify)
 	p.front.Store(s)
 	if p.cfg.OnSwap != nil {
 		p.cfg.OnSwap(s)

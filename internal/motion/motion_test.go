@@ -9,10 +9,13 @@ import (
 	"testing"
 	"time"
 
+	"policyanon/internal/attacker"
 	"policyanon/internal/core"
 	"policyanon/internal/geo"
+	"policyanon/internal/lbs"
 	"policyanon/internal/location"
 	"policyanon/internal/tree"
+	"policyanon/internal/verify"
 	"policyanon/internal/workload"
 )
 
@@ -58,17 +61,50 @@ func closePipeline(t *testing.T, p *Pipeline) {
 	}
 }
 
+// checkReportAgainstScans holds the report the publish gate's verification
+// gives for one published policy to brute force: every minimum and every
+// PRE of the Definition 6 witness recomputed by attacker.Candidates scans.
+func checkReportAgainstScans(t *testing.T, epoch int64, pol *lbs.Assignment, k int) {
+	t.Helper()
+	rep := verify.Policy(pol, k)
+	if !rep.OK() || len(rep.Witness) != k {
+		t.Fatalf("epoch %d: published policy fails verification (%d PREs): %v", epoch, len(rep.Witness), rep.Problems)
+	}
+	cloaks := make(map[geo.Rect]bool)
+	for i := 0; i < pol.Len(); i++ {
+		cloaks[pol.CloakAt(i)] = true
+	}
+	minAware, minUnaware := pol.Len()+1, pol.Len()+1
+	for cloak := range cloaks {
+		aware := attacker.Candidates(pol, cloak, attacker.PolicyAware)
+		minAware = min(minAware, len(aware))
+		minUnaware = min(minUnaware, len(attacker.Candidates(pol, cloak, attacker.PolicyUnaware)))
+		for i, pre := range rep.Witness {
+			if len(pre) != len(cloaks) || pre[cloak] != aware[i] {
+				t.Fatalf("epoch %d: PRE %d maps %v to %q over %d cloaks, scans give %q over %d",
+					epoch, i, cloak, pre[cloak], len(pre), aware[i], len(cloaks))
+			}
+		}
+	}
+	if rep.MinAware != minAware || rep.MinUnaware != minUnaware {
+		t.Fatalf("epoch %d: report minima %d/%d, scans give %d/%d", epoch, rep.MinAware, rep.MinUnaware, minAware, minUnaware)
+	}
+}
+
 // TestParityIncrementalVsRebuild is the golden parity check of the
 // incremental maintenance (acceptance criterion): after a randomized
 // churn sequence flows through the pipeline incrementally, the published
 // cloaks must be byte-identical to a from-scratch rebuild over the same
-// final positions — across two tree kinds, and clean under -race.
+// final positions — across two tree kinds, and clean under -race. Every
+// epoch published on the way is re-verified against brute-force scans.
 func TestParityIncrementalVsRebuild(t *testing.T) {
 	kinds := map[string]tree.Kind{"binary": tree.Binary, "quad": tree.Quad}
 	for name, kind := range kinds {
 		t.Run(name, func(t *testing.T) {
 			const users, k = 300, 20
 			db := testDB(t, users, 7)
+			var mu sync.Mutex
+			var published []*Snapshot
 			p, err := New(db, testBounds(), Config{
 				K:             k,
 				TreeKind:      kind,
@@ -76,6 +112,11 @@ func TestParityIncrementalVsRebuild(t *testing.T) {
 				MaxBatch:      64,
 				FlushInterval: time.Millisecond,
 				MaxMoveMeters: -1, // parity exercises maintenance, not validation
+				OnSwap: func(s *Snapshot) {
+					mu.Lock()
+					published = append(published, s)
+					mu.Unlock()
+				},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -94,6 +135,17 @@ func TestParityIncrementalVsRebuild(t *testing.T) {
 			snap := p.Snapshot()
 			if snap.Epoch < 2 {
 				t.Fatalf("epoch did not advance: %d", snap.Epoch)
+			}
+			if st.LastVerifyMode != "full" || st.LastVerifyMs <= 0 {
+				t.Fatalf("stats say the last publish gate ran %q in %v ms, want a timed full verify", st.LastVerifyMode, st.LastVerifyMs)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if int64(len(published)) != snap.Epoch {
+				t.Fatalf("observed %d swaps for %d epochs", len(published), snap.Epoch)
+			}
+			for _, s := range published {
+				checkReportAgainstScans(t, s.Epoch, s.Policy, k)
 			}
 
 			// From-scratch rebuild over the exact final positions.

@@ -123,6 +123,10 @@ func TestMotionStreamingStatuses(t *testing.T) {
 	if st["rejected"].(float64) != 4 {
 		t.Fatalf("rejected = %v, want 4", st["rejected"])
 	}
+	// The stats document says where the batch's time went.
+	if st["lastVerifyMode"] != "full" || st["lastVerifyMs"].(float64) <= 0 || st["lastVerifyMs"].(float64) > st["lastApplyMs"].(float64) {
+		t.Fatalf("last verify %v in %v ms of a %v ms apply", st["lastVerifyMode"], st["lastVerifyMs"], st["lastApplyMs"])
+	}
 	resp, body = get(t, base+"/v1/cloak?user=u07")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cloak after move: %d %v", resp.StatusCode, body)

@@ -39,9 +39,10 @@ type Report struct {
 	// Definition 6: Witness[i] maps every issued cloak to the i-th
 	// distinct possible sender.
 	Witness []map[geo.Rect]string
-	// DeltaScoped marks a report produced by Delta: checks covered only
-	// the cloaks a delta publish could have affected, the Min fields range
-	// over those cloaks only, and no Definition 6 witness was built.
+	// DeltaScoped marks a report produced by Delta: masking was re-checked
+	// only for the records the delta touched and no Definition 6 witness
+	// was built. The anonymity checks and Min fields cover every issued
+	// cloak, as in a full report.
 	DeltaScoped bool
 	// Problems lists human-readable violations (empty when OK()).
 	Problems []string
@@ -61,6 +62,10 @@ func (r *Report) String() string {
 }
 
 // Policy runs the full verification of an assignment at anonymity level k.
+// Every count comes from the assignment's own attacker.Survey — one
+// O(|D|) pass for the cloaking groups, one grid for the policy-unaware
+// counts — and the Definition 6 witness is read off the groups' members,
+// so the whole check is O(|D| + k·groups), not O(|D|·groups).
 func Policy(a *lbs.Assignment, k int) *Report {
 	r := &Report{K: k, Users: a.Len(), Masking: true}
 	if k < 1 {
@@ -68,37 +73,18 @@ func Policy(a *lbs.Assignment, k int) *Report {
 		return r
 	}
 	db := a.DB()
-	for i := 0; i < db.Len(); i++ {
-		if !a.CloakAt(i).ContainsClosed(db.At(i).Loc) {
-			r.Masking = false
-			r.Problems = append(r.Problems, fmt.Sprintf(
-				"cloak %v of user %q does not contain her location %v",
-				a.CloakAt(i), db.At(i).UserID, db.At(i).Loc))
+	for base, run := range a.CloakRuns() {
+		for j, cloak := range run {
+			r.checkMask(cloak, db.At(base+j))
 		}
 	}
-	awareBreaches, minAware := attacker.Audit(a, k, attacker.PolicyAware)
-	r.MinAware = minAware
-	r.PolicyAware = len(awareBreaches) == 0
-	for _, b := range awareBreaches {
-		r.Problems = append(r.Problems, "policy-aware: "+b.String())
-	}
-	unawareBreaches, minUnaware := attacker.Audit(a, k, attacker.PolicyUnaware)
-	r.MinUnaware = minUnaware
-	r.PolicyUnaware = len(unawareBreaches) == 0
-	for _, b := range unawareBreaches {
-		r.Problems = append(r.Problems, "policy-unaware: "+b.String())
-	}
-	// Proposition 1 cross-check: policy-aware anonymity must imply
-	// policy-unaware anonymity; if the audits ever disagree in the other
-	// direction, the attacker model itself is broken.
-	if r.PolicyAware && !r.PolicyUnaware {
-		r.Problems = append(r.Problems, "Proposition 1 violated: aware-safe but unaware-breached")
-	}
+	s := attacker.SurveyOf(a)
+	r.checkAnonymity(s)
 	// Definition 6 witness: k PREs with pairwise distinct senders per
 	// observed cloak, each mapping back to the observed cloak under the
 	// policy itself.
 	if r.PolicyAware && a.Len() > 0 {
-		witness, err := buildWitness(a, k)
+		witness, err := buildWitness(a, s.Groups(), k)
 		if err != nil {
 			r.Problems = append(r.Problems, "witness construction failed: "+err.Error())
 		} else {
@@ -108,16 +94,17 @@ func Policy(a *lbs.Assignment, k int) *Report {
 	return r
 }
 
-// Delta verifies a delta-derived assignment by re-checking only what its
-// delta could have changed, in O(|D| + touched) instead of Policy's
-// O(|D| * groups) witness construction. Soundness rests on two facts:
-// a policy-aware candidate set (users sharing a cloak verbatim) changes
-// only for the Old/New rectangles of a cloak rewrite, and a policy-unaware
-// candidate set (users geometrically inside a cloak) changes only for
-// cloaks containing a move's From or To point. Everything else was checked
-// when an ancestor assignment was verified in full — callers enforce a
-// full-verify cadence (motion.Config.VerifyEvery) so that anchor exists.
-// For assignments without a delta it falls back to Policy.
+// Delta verifies a delta-derived assignment without Policy's two
+// per-record passes that a delta cannot have invalidated: masking is
+// re-checked only for the records the delta moved or re-cloaked (every
+// other record and cloak is unchanged since an ancestor was verified in
+// full), and no Definition 6 witness is built. Sender k-anonymity is
+// checked against both attacker classes for every issued cloak, from the
+// assignment's own survey, exactly as Policy does — so the cost is still
+// O(|D|) (the survey pass and its grid), about half of Policy's, and not
+// O(touched). Callers enforce a full-verify cadence
+// (motion.Config.VerifyEvery) so the fully verified ancestor exists. For
+// assignments without a delta it falls back to Policy.
 func Delta(a *lbs.Assignment, k int) *Report {
 	d := a.Delta()
 	if d == nil {
@@ -129,117 +116,88 @@ func Delta(a *lbs.Assignment, k int) *Report {
 		return r
 	}
 	db := a.DB()
-	checkMask := func(i int) {
-		if !a.CloakAt(i).ContainsClosed(db.At(i).Loc) {
-			r.Masking = false
-			r.Problems = append(r.Problems, fmt.Sprintf(
-				"cloak %v of user %q does not contain her location %v",
-				a.CloakAt(i), db.At(i).UserID, db.At(i).Loc))
-		}
-	}
-	touched := make(map[geo.Rect]struct{}, 2*len(d.Cloaks))
 	for _, c := range d.Cloaks {
-		checkMask(c.Index)
-		touched[c.Old] = struct{}{}
-		touched[c.New] = struct{}{}
+		r.checkMask(a.CloakAt(c.Index), db.At(c.Index))
 	}
 	for _, mv := range d.Moves {
-		checkMask(mv.Index)
+		r.checkMask(a.CloakAt(mv.Index), db.At(mv.Index))
 	}
-	// One pass over the snapshot: the policy-aware candidate count of every
-	// published cloak.
-	aware := make(map[geo.Rect]int, a.Len()/k+1)
-	for i := 0; i < a.Len(); i++ {
-		aware[a.CloakAt(i)]++
-	}
-	// Cloaks whose geometric membership a move can have changed.
-	for rect := range aware {
-		for _, mv := range d.Moves {
-			if rect.ContainsClosed(mv.From) || rect.ContainsClosed(mv.To) {
-				touched[rect] = struct{}{}
-				break
-			}
-		}
-	}
-	r.PolicyAware, r.PolicyUnaware = true, true
-	minAware, minUnaware := -1, -1
-	var grid *location.Grid
-	for rect := range touched {
-		n := aware[rect]
-		if n == 0 {
-			continue // retired cloak: no user publishes it any more
-		}
-		if minAware < 0 || n < minAware {
-			minAware = n
-		}
-		if n < k {
-			r.PolicyAware = false
-			r.Problems = append(r.Problems, fmt.Sprintf(
-				"policy-aware: cloak %v has only %d of %d required candidates", rect, n, k))
-		}
-		if grid == nil {
-			g, err := location.NewGrid(db, db.Bounds(), 0)
-			if err != nil {
-				r.PolicyUnaware = false
-				r.Problems = append(r.Problems, "unaware index build failed: "+err.Error())
-				continue
-			}
-			grid = g
-		}
-		u := grid.CountInClosed(rect)
-		if minUnaware < 0 || u < minUnaware {
-			minUnaware = u
-		}
-		if u < k {
-			r.PolicyUnaware = false
-			r.Problems = append(r.Problems, fmt.Sprintf(
-				"policy-unaware: cloak %v covers only %d of %d required users", rect, u, k))
-		}
-	}
-	// An empty touched set constrains nothing; report the trivial bound.
-	if minAware < 0 {
-		minAware = r.Users
-	}
-	if minUnaware < 0 {
-		minUnaware = r.Users
-	}
-	r.MinAware, r.MinUnaware = minAware, minUnaware
-	if r.PolicyAware && !r.PolicyUnaware {
-		r.Problems = append(r.Problems, "Proposition 1 violated: aware-safe but unaware-breached")
-	}
+	r.checkAnonymity(attacker.SurveyOf(a))
 	return r
 }
 
-// buildWitness constructs and validates the k PREs of Definition 6.
-func buildWitness(a *lbs.Assignment, k int) ([]map[geo.Rect]string, error) {
-	witness := make([]map[geo.Rect]string, k)
-	for i := range witness {
-		witness[i] = make(map[geo.Rect]string)
+// checkMask records a masking violation (Definition 4) of one record.
+func (r *Report) checkMask(cloak geo.Rect, rec location.Record) {
+	if !cloak.ContainsClosed(rec.Loc) {
+		r.Masking = false
+		r.Problems = append(r.Problems, fmt.Sprintf(
+			"cloak %v of user %q does not contain her location %v", cloak, rec.UserID, rec.Loc))
+	}
+}
+
+// checkAnonymity audits sender k-anonymity against both attacker classes.
+func (r *Report) checkAnonymity(s *attacker.Survey) {
+	awareBreaches, minAware := s.Audit(r.K, attacker.PolicyAware)
+	r.MinAware = minAware
+	r.PolicyAware = len(awareBreaches) == 0
+	for _, b := range awareBreaches {
+		r.Problems = append(r.Problems, "policy-aware: "+b.String())
+	}
+	unawareBreaches, minUnaware := s.Audit(r.K, attacker.PolicyUnaware)
+	r.MinUnaware = minUnaware
+	r.PolicyUnaware = len(unawareBreaches) == 0
+	for _, b := range unawareBreaches {
+		r.Problems = append(r.Problems, "policy-unaware: "+b.String())
+	}
+	// Proposition 1 cross-check: policy-aware anonymity must imply
+	// policy-unaware anonymity; if the audits ever disagree in the other
+	// direction, the attacker model itself is broken.
+	if r.PolicyAware && !r.PolicyUnaware {
+		r.Problems = append(r.Problems, "Proposition 1 violated: aware-safe but unaware-breached")
+	}
+}
+
+// buildWitness constructs and validates the k PREs of Definition 6. PRE i
+// maps every issued cloak to the i-th member of its cloaking group — the
+// policy-aware candidates in attacker.Candidates order.
+func buildWitness(a *lbs.Assignment, groups []lbs.Group, k int) ([]map[geo.Rect]string, error) {
+	for _, g := range groups {
+		if len(g.Members) < k {
+			return nil, fmt.Errorf("cloak %v admits only %d PREs", g.Cloak, len(g.Members))
+		}
 	}
 	db := a.DB()
-	for _, g := range a.Groups() {
-		cands := attacker.Candidates(a, g.Cloak, attacker.PolicyAware)
-		if len(cands) < k {
-			return nil, fmt.Errorf("cloak %v admits only %d PREs", g.Cloak, len(cands))
-		}
-		for i := 0; i < k; i++ {
-			witness[i][g.Cloak] = cands[i]
-		}
+	witness := make([]map[geo.Rect]string, k)
+	// highest[g] is the highest record a sender of group g resolved to so
+	// far. Senders that resolve to strictly rising records are pairwise
+	// distinct, which is the normal case; only a sender that does not rise
+	// is compared against the earlier PREs of its cloak.
+	highest := make([]int, len(groups))
+	for g := range highest {
+		highest[g] = -1
 	}
-	// Validate each PRE against Definition 5: the mapped service request
-	// is valid w.r.t. D and the policy maps it back to the observed cloak.
-	for i, pre := range witness {
-		for cloak, user := range pre {
-			loc, err := db.Lookup(user)
-			if err != nil {
+	for i := range witness {
+		pre := make(map[geo.Rect]string, len(groups))
+		witness[i] = pre
+		for g, grp := range groups {
+			cloak, user := grp.Cloak, db.At(grp.Members[i]).UserID
+			pre[cloak] = user
+			// Validate the PRE against Definition 5: the mapped service
+			// request is valid w.r.t. D and the policy maps it back to
+			// the observed cloak.
+			at := db.Index(user)
+			if at < 0 {
 				return nil, fmt.Errorf("PRE %d maps %v to unknown user %q", i, cloak, user)
 			}
-			back, err := a.CloakOf(user)
-			if err != nil || back != cloak {
+			if a.CloakAt(at) != cloak {
 				return nil, fmt.Errorf("PRE %d not reproduced by the policy for %q", i, user)
 			}
-			if !cloak.ContainsClosed(loc) {
+			if !cloak.ContainsClosed(db.At(at).Loc) {
 				return nil, fmt.Errorf("PRE %d violates masking for %q", i, user)
+			}
+			if at > highest[g] {
+				highest[g] = at
+				continue
 			}
 			for j := 0; j < i; j++ {
 				if witness[j][cloak] == user {
