@@ -60,6 +60,8 @@ func main() {
 		log.Fatal(err)
 	}
 	provider := policyanon.NewPOIProvider(store)
+	// The recording wrapper is the provider's log: what leaks.
+	seen := policyanon.NewRecordingProvider(provider)
 
 	// The CSP computes the optimal policy-aware policy and serves.
 	anon, err := policyanon.NewAnonymizerContext(ctx, db, bounds, policyanon.Options{K: k})
@@ -70,7 +72,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	csp := policyanon.NewCSP(policy, provider)
+	csp := policyanon.NewCSP(policy, seen)
 
 	// 150 users ask for the nearest gas station.
 	correct := 0
@@ -98,13 +100,14 @@ func main() {
 	// --- The attack. The provider's log leaks; the location database is
 	// subpoenaed; the policy is known. How anonymous are the senders?
 	minCand := db.Len()
-	for _, ar := range provider.Log() {
+	leaked := seen.Log()
+	for _, ar := range leaked {
 		if n := len(policyanon.Candidates(policy, ar.Cloak, policyanon.PolicyAware)); n < minCand {
 			minCand = n
 		}
 	}
 	fmt.Printf("policy-aware attacker over %d logged requests: smallest candidate set = %d (k = %d)\n",
-		len(provider.Log()), minCand, k)
+		len(leaked), minCand, k)
 	if minCand < k {
 		log.Fatal("BREACH: this should be impossible")
 	}

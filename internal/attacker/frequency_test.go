@@ -8,7 +8,7 @@ import (
 	"policyanon/internal/location"
 )
 
-func freqFixture(t *testing.T) (*lbs.Assignment, *lbs.POIProvider, *lbs.CSP) {
+func freqFixture(t *testing.T) (*lbs.Assignment, *lbs.RecordingProvider, *lbs.CSP) {
 	t.Helper()
 	db, err := location.FromRecords([]location.Record{
 		{UserID: "Alice", Loc: geo.Point{X: 1, Y: 1}},
@@ -32,7 +32,7 @@ func freqFixture(t *testing.T) (*lbs.Assignment, *lbs.POIProvider, *lbs.CSP) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	provider := lbs.NewPOIProvider(store)
+	provider := lbs.NewRecordingProvider(lbs.NewPOIProvider(store))
 	return pol, provider, lbs.NewCSP(pol, provider)
 }
 

@@ -2,11 +2,14 @@ package lbs
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
+	"policyanon/internal/geo"
 	"policyanon/internal/obs"
 )
 
@@ -17,13 +20,16 @@ type Provider interface {
 	Answer(AnonymizedRequest) ([]POI, error)
 }
 
-// POIProvider serves anonymized nearest-neighbour requests from a POIStore
-// and logs everything it sees — the log is exactly what a subpoena or hack
-// would expose to the attacker of Section III.
+// POIProvider serves anonymized nearest-neighbour and range requests from
+// a POIStore and keeps the per-category billing counts of Section VII. It
+// retains nothing per request, and its lock covers only the billing bump,
+// never the candidate scan, so concurrent requests scan in parallel. What
+// the provider sees — the log a subpoena or hack would expose to the
+// attacker of Section III — is recorded by wrapping it in a
+// RecordingProvider.
 type POIProvider struct {
-	mu      sync.Mutex
 	store   *POIStore
-	log     []AnonymizedRequest
+	mu      sync.Mutex
 	billing map[string]int64 // category -> answers served (the billing model of Section VII)
 }
 
@@ -32,13 +38,11 @@ func NewPOIProvider(store *POIStore) *POIProvider {
 	return &POIProvider{store: store, billing: make(map[string]int64)}
 }
 
-// Answer serves an anonymized request and logs it. The request's "cat"
-// parameter selects the POI category (empty matches all); a "range"
-// parameter (meters) switches from nearest-neighbour to a range query.
+// Answer serves an anonymized request. The request's "cat" parameter
+// selects the POI category (empty matches all); a "range" parameter
+// (meters, finite and non-negative) switches from nearest-neighbour to a
+// range query.
 func (p *POIProvider) Answer(ar AnonymizedRequest) ([]POI, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.log = append(p.log, ar)
 	category, rangeMeters := "", ""
 	for _, prm := range ar.Params {
 		switch prm.Name {
@@ -51,22 +55,17 @@ func (p *POIProvider) Answer(ar AnonymizedRequest) ([]POI, error) {
 	var cands []POI
 	if rangeMeters != "" {
 		radius, err := strconv.ParseFloat(rangeMeters, 64)
-		if err != nil || radius < 0 {
+		if err != nil || math.IsNaN(radius) || math.IsInf(radius, 0) || radius < 0 {
 			return nil, fmt.Errorf("lbs: bad range parameter %q", rangeMeters)
 		}
 		cands = p.store.CandidateInRange(ar.Cloak, radius, category)
 	} else {
 		cands = p.store.CandidateNearest(ar.Cloak, category)
 	}
-	p.billing[category] += int64(len(cands))
-	return cands, nil
-}
-
-// Log returns a copy of every anonymized request the provider has seen.
-func (p *POIProvider) Log() []AnonymizedRequest {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]AnonymizedRequest(nil), p.log...)
+	p.billing[category] += int64(len(cands))
+	p.mu.Unlock()
+	return cands, nil
 }
 
 // Billing returns the per-category answer counts used to charge
@@ -81,16 +80,55 @@ func (p *POIProvider) Billing() map[string]int64 {
 	return out
 }
 
+// RecordingProvider wraps any Provider and logs every anonymized request
+// it is asked — exactly what a subpoena or hack of the provider would
+// expose to the attacker of Section III. The simulator, the examples and
+// the tests wrap their provider to replay the attacks over the log; a
+// long-running server does not (the log grows without bound, and the
+// server's own view of what leaked is the audit report and the ledger).
+type RecordingProvider struct {
+	next Provider
+	mu   sync.Mutex
+	log  []AnonymizedRequest
+}
+
+// NewRecordingProvider wraps next.
+func NewRecordingProvider(next Provider) *RecordingProvider {
+	return &RecordingProvider{next: next}
+}
+
+// Answer logs the request, then delegates. The append happens before the
+// lookup, so the log is complete (failed lookups included) and in arrival
+// order.
+func (r *RecordingProvider) Answer(ar AnonymizedRequest) ([]POI, error) {
+	r.mu.Lock()
+	r.log = append(r.log, ar)
+	r.mu.Unlock()
+	return r.next.Answer(ar)
+}
+
+// Log returns a copy of every anonymized request the provider has seen.
+func (r *RecordingProvider) Log() []AnonymizedRequest {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]AnonymizedRequest(nil), r.log...)
+}
+
 // CSP is the trusted anonymizing front end of the privacy-conscious LBS
 // model (Section II-B): it holds the policy for the current snapshot,
 // anonymizes user requests, forwards them to the provider, and caches
 // answers by (cloak, parameters).
 //
 // The cache is the Section VII defence against frequency-counting attacks
-// (the l-diversity / t-closeness analogue): the provider never sees
-// duplicate anonymized requests within a cache epoch, so it cannot count
-// them; FlushCache starts a new epoch and reports the suppressed request
-// count so the CSP can settle billing in aggregate.
+// (the l-diversity / t-closeness analogue): within a cache epoch the
+// provider sees a (cloak, params) key at most once while the key stays
+// resident, so it cannot count the requests behind it; FlushCache starts a
+// new epoch and reports the suppressed request count so the CSP can settle
+// billing in aggregate. The cache is bounded (cacheGenCap): a key is
+// forgotten only after a full generation of other distinct keys has gone
+// through its shard without a request for it, so the hot keys a frequency
+// count is about stay cached while never-repeated parameters cannot
+// exhaust memory.
 //
 // The serving hot path is built for concurrency: the policy and the
 // request-ID counter are atomics (no lock), the answer cache is sharded
@@ -108,15 +146,32 @@ type CSP struct {
 }
 
 // cacheShards is the shard count of the answer cache; a power of two so
-// the hash folds with a mask. 16 shards keep contention negligible well
+// the hash folds with a shift. 16 shards keep contention negligible well
 // past the worker counts the serving benchmarks sweep.
-const cacheShards = 16
+const (
+	cacheShardBits = 4
+	cacheShards    = 1 << cacheShardBits
+)
 
-// cspShard is one cache shard: its slice of the answer map, the in-flight
-// singleflight table, and its share of the counters (summed on read).
+// cacheGenCap is the number of keys one shard holds per generation, so
+// the cache keeps at most 2 x 16 x 1024 = 32k answers. Measured on the
+// repo benchmark (200k users, 20k POIs, 2 CPUs, docs/PERFORMANCE.md 3d):
+// serve_batch_miss at ~43k never-repeated keys/s holds server_rss_mb at
+// 157 MB with this cap (issue 17's prototype measured 228 MB at 4096 per
+// generation, outside the benchmark's 15 % bound, and 611 MB growing
+// ~20 MB/s with no cap), and serve_batch_hit's 8192-key working set
+// stays resident with a hit ratio of 1.0.
+const cacheGenCap = 1024
+
+// cspShard is one cache shard: its slice of the answer cache, the
+// in-flight singleflight table, and its share of the counters (summed on
+// read). The cache is two generations of at most cacheGenCap keys each:
+// inserts go to cur; when cur is full it becomes prev and the old prev is
+// dropped; a hit in prev is promoted to cur. Approximately LRU with no
+// per-entry bookkeeping. The counters do not depend on residency.
 type cspShard struct {
 	mu        sync.Mutex
-	cache     map[cacheKey][]POI
+	cur, prev map[cacheKey][]POI
 	flight    map[flightKey]*flight
 	hits      int64
 	misses    int64
@@ -124,8 +179,33 @@ type cspShard struct {
 	coalesced int64 // callers who piggybacked on another's lookup
 }
 
+// lookup returns the cached answer for key, promoting it from the previous
+// generation. Callers hold sh.mu.
+func (sh *cspShard) lookup(key cacheKey) ([]POI, bool) {
+	if answer, ok := sh.cur[key]; ok {
+		return answer, true
+	}
+	answer, ok := sh.prev[key]
+	if ok {
+		sh.insert(key, answer)
+	}
+	return answer, ok
+}
+
+// insert caches answer under key, rotating the generations when the
+// current one is full. Callers hold sh.mu.
+func (sh *cspShard) insert(key cacheKey, answer []POI) {
+	if len(sh.cur) >= cacheGenCap {
+		sh.cur, sh.prev = sh.prev, sh.cur
+		clear(sh.cur)
+	}
+	sh.cur[key] = answer
+}
+
+// cacheKey identifies an anonymized request up to its request id: the
+// cloak by value and the parameter vector in an injective encoding.
 type cacheKey struct {
-	cloak  string
+	cloak  geo.Rect
 	params string
 }
 
@@ -146,29 +226,39 @@ type flight struct {
 	err    error
 }
 
+// keyOf builds the cache key. Every name and value is length-prefixed, so
+// distinct parameter vectors never share a key whatever bytes they hold.
+// Joining with separators cannot promise that: {cat: "gas;range=100"} and
+// {cat: "gas"}, {range: "100"} both join to "cat=gas;range=100;".
 func keyOf(ar AnonymizedRequest) cacheKey {
-	k := cacheKey{cloak: ar.Cloak.String()}
+	var buf [64]byte
+	b := buf[:0]
 	for _, p := range ar.Params {
-		k.params += p.Name + "=" + p.Value + ";"
+		b = binary.AppendUvarint(b, uint64(len(p.Name)))
+		b = append(b, p.Name...)
+		b = binary.AppendUvarint(b, uint64(len(p.Value)))
+		b = append(b, p.Value...)
 	}
-	return k
+	return cacheKey{cloak: ar.Cloak, params: string(b)}
 }
 
-// shardOf picks the cache shard: FNV-1a over the cloak and parameter
-// strings, folded to the shard mask.
+// shardOf picks the cache shard: FNV-1a over the cloak's four coordinates
+// and the parameter bytes, folded to its TOP bits — cloaks are
+// power-of-two aligned, so the low bits of their coordinates (and hence
+// of a multiplicative hash of them) carry no information.
 func shardOf(key cacheKey) int {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for i := 0; i < len(key.cloak); i++ {
-		h = (h ^ uint64(key.cloak[i])) * prime64
+	for _, v := range [...]int32{key.cloak.MinX, key.cloak.MinY, key.cloak.MaxX, key.cloak.MaxY} {
+		h = (h ^ uint64(uint32(v))) * prime64
 	}
 	for i := 0; i < len(key.params); i++ {
 		h = (h ^ uint64(key.params[i])) * prime64
 	}
-	return int(h & (cacheShards - 1))
+	return int(h >> (64 - cacheShardBits))
 }
 
 // NewCSP wires a policy to a provider.
@@ -176,7 +266,8 @@ func NewCSP(policy *Assignment, provider Provider) *CSP {
 	c := &CSP{provider: provider}
 	c.policy.Store(policy)
 	for i := range c.shards {
-		c.shards[i].cache = make(map[cacheKey][]POI)
+		c.shards[i].cur = make(map[cacheKey][]POI)
+		c.shards[i].prev = make(map[cacheKey][]POI)
 		c.shards[i].flight = make(map[flightKey]*flight)
 	}
 	return c
@@ -219,7 +310,7 @@ func (c *CSP) ServeContext(ctx context.Context, sr ServiceRequest) (AnonymizedRe
 	fk := flightKey{version: policy.Version(), key: key}
 
 	sh.mu.Lock()
-	if cached, ok := sh.cache[key]; ok {
+	if cached, ok := sh.lookup(key); ok {
 		sh.hits++
 		sh.mu.Unlock()
 		if sp != nil {
@@ -262,7 +353,7 @@ func (c *CSP) ServeContext(ctx context.Context, sr ServiceRequest) (AnonymizedRe
 	delete(sh.flight, fk) // errors are not cached; a retry starts fresh
 	if err == nil {
 		sh.misses++
-		sh.cache[key] = answer
+		sh.insert(key, answer)
 	}
 	sh.mu.Unlock()
 	close(f.done)
@@ -278,32 +369,40 @@ func (c *CSP) ServeContext(ctx context.Context, sr ServiceRequest) (AnonymizedRe
 	return ar, answer, nil
 }
 
-// CacheStats returns the cache hit and miss counts since the last flush,
-// summed over the shards.
-func (c *CSP) CacheStats() (hits, misses int64) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		hits += sh.hits
-		misses += sh.misses
-		sh.mu.Unlock()
-	}
-	return hits, misses
+// CSPStats are the cache and singleflight counters since the last flush.
+// Flights is the number of provider lookups started by a coalescing
+// leader, Coalesced the number of callers who shared another caller's
+// in-flight lookup instead of issuing their own. None of them depends on
+// which keys are still resident.
+type CSPStats struct {
+	Hits, Misses, Flights, Coalesced int64
 }
 
-// CoalesceStats returns the singleflight counters since the last flush:
-// flights is the number of provider lookups started by a coalescing
-// leader, coalesced the number of callers who shared another caller's
-// in-flight lookup instead of issuing their own.
-func (c *CSP) CoalesceStats() (flights, coalesced int64) {
+// Stats sums the counters over the shards in one pass.
+func (c *CSP) Stats() CSPStats {
+	var st CSPStats
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		flights += sh.flights
-		coalesced += sh.coalesced
+		st.Hits += sh.hits
+		st.Misses += sh.misses
+		st.Flights += sh.flights
+		st.Coalesced += sh.coalesced
 		sh.mu.Unlock()
 	}
-	return flights, coalesced
+	return st
+}
+
+// CacheStats returns the cache hit and miss counts since the last flush.
+func (c *CSP) CacheStats() (hits, misses int64) {
+	st := c.Stats()
+	return st.Hits, st.Misses
+}
+
+// CoalesceStats returns the singleflight counters since the last flush.
+func (c *CSP) CoalesceStats() (flights, coalesced int64) {
+	st := c.Stats()
+	return st.Flights, st.Coalesced
 }
 
 // FlushCache starts a new cache epoch and returns the number of provider
@@ -314,7 +413,8 @@ func (c *CSP) FlushCache() (suppressed int64) {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		suppressed += sh.hits + sh.coalesced
-		sh.cache = make(map[cacheKey][]POI)
+		sh.cur = make(map[cacheKey][]POI)
+		sh.prev = make(map[cacheKey][]POI)
 		sh.hits, sh.misses = 0, 0
 		sh.flights, sh.coalesced = 0, 0
 		sh.mu.Unlock()

@@ -2,8 +2,11 @@ package lbs
 
 import (
 	"fmt"
+	"iter"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"policyanon/internal/geo"
 )
@@ -18,7 +21,13 @@ type POI struct {
 // POIStore is the LBS provider's spatial index: a uniform grid over the
 // map supporting exact nearest-neighbour, range queries, and the cloaked
 // nearest-neighbour candidate evaluation used to answer anonymized
-// requests.
+// requests. Every candidate generator walks only the grid cells its
+// window touches (inWindow), so a query costs O(cells + candidates), not
+// O(catalogue).
+//
+// A POIStore is safe for any number of concurrent readers. Add and Remove
+// need external exclusion against readers and each other (the server never
+// mutates an installed store: POST /v1/pois replaces it wholesale).
 type POIStore struct {
 	bounds   geo.Rect
 	cellSide int32
@@ -26,7 +35,7 @@ type POIStore struct {
 	rows     int32
 	cells    [][]int
 	pois     []POI
-	byCat    map[string][]int
+	perCat   map[string]int // category -> number of POIs
 }
 
 // NewPOIStore indexes the points of interest. cellSide 0 picks a default
@@ -50,7 +59,7 @@ func NewPOIStore(pois []POI, bounds geo.Rect, cellSide int32) (*POIStore, error)
 		cols:     int32((bounds.Width() + int64(cellSide) - 1) / int64(cellSide)),
 		rows:     int32((bounds.Height() + int64(cellSide) - 1) / int64(cellSide)),
 		pois:     append([]POI(nil), pois...),
-		byCat:    make(map[string][]int),
+		perCat:   make(map[string]int),
 	}
 	s.cells = make([][]int, int(s.cols)*int(s.rows))
 	for i, p := range s.pois {
@@ -58,7 +67,7 @@ func NewPOIStore(pois []POI, bounds geo.Rect, cellSide int32) (*POIStore, error)
 			return nil, fmt.Errorf("lbs: POI %q at %v outside bounds %v", p.ID, p.Loc, bounds)
 		}
 		s.cells[s.cellOf(p.Loc)] = append(s.cells[s.cellOf(p.Loc)], i)
-		s.byCat[p.Category] = append(s.byCat[p.Category], i)
+		s.perCat[p.Category]++
 	}
 	return s, nil
 }
@@ -82,7 +91,7 @@ func (s *POIStore) Add(p POI) error {
 	i := len(s.pois)
 	s.pois = append(s.pois, p)
 	s.cells[s.cellOf(p.Loc)] = append(s.cells[s.cellOf(p.Loc)], i)
-	s.byCat[p.Category] = append(s.byCat[p.Category], i)
+	s.perCat[p.Category]++
 	return nil
 }
 
@@ -100,16 +109,15 @@ func (s *POIStore) Remove(id string) bool {
 	if idx < 0 {
 		return false
 	}
+	s.perCat[s.pois[idx].Category]--
 	s.pois = append(s.pois[:idx], s.pois[idx+1:]...)
-	// Rebuild the positional indexes: simplest correct maintenance given
+	// Rebuild the positional index: simplest correct maintenance given
 	// indices shifted.
 	for c := range s.cells {
 		s.cells[c] = s.cells[c][:0]
 	}
-	s.byCat = make(map[string][]int)
 	for i, p := range s.pois {
 		s.cells[s.cellOf(p.Loc)] = append(s.cells[s.cellOf(p.Loc)], i)
-		s.byCat[p.Category] = append(s.byCat[p.Category], i)
 	}
 	return true
 }
@@ -175,21 +183,98 @@ func (s *POIStore) NearestCategory(p geo.Point, category string) (POI, bool) {
 	return s.pois[bestI], true
 }
 
+// maxReach is the largest window inflation inWindow is ever asked for: it
+// exceeds any difference of two int32 coordinates, so a window inflated by
+// it covers every store, and int64 arithmetic on it cannot overflow.
+const maxReach = int64(1) << 33
+
+// reachOf converts a query radius into a window inflation: ceil(|radius|),
+// saturating at maxReach. NaN saturates too; the callers' distance
+// predicates reject every POI for a NaN radius, as the linear scans did.
+func reachOf(radius float64) int64 {
+	if r := math.Ceil(math.Abs(radius)); r < float64(maxReach) {
+		return int64(r)
+	}
+	return maxReach
+}
+
+// reachOfSq is reachOf for a squared integer distance: the smallest reach
+// whose square is at least dSq (below maxReach for every int64).
+func reachOfSq(dSq int64) int64 {
+	r := int64(math.Sqrt(float64(dSq)))
+	for r*r < dSq {
+		r++
+	}
+	return r
+}
+
+// inWindow iterates the catalogue indexes of the POIs of a category (empty
+// matches all) that are indexed in a grid cell intersecting the closed
+// rectangle r inflated by reach on every side. The window is clamped to
+// the store's bounds in int64 before any conversion to a cell index, so
+// every reach in [0, maxReach] and every rectangle — inside the map,
+// straddling it or wholly outside — is safe. The walk visits a superset
+// of the POIs inside the window (whole cells); callers apply their own
+// exact distance predicate.
+func (s *POIStore) inWindow(r geo.Rect, reach int64, category string) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		loX := max(int64(r.MinX)-reach, int64(s.bounds.MinX))
+		hiX := min(int64(r.MaxX)+reach, int64(s.bounds.MaxX)-1)
+		loY := max(int64(r.MinY)-reach, int64(s.bounds.MinY))
+		hiY := min(int64(r.MaxY)+reach, int64(s.bounds.MaxY)-1)
+		if loX > hiX || loY > hiY {
+			return
+		}
+		side, cols := int64(s.cellSide), int(s.cols)
+		x0, x1 := int((loX-int64(s.bounds.MinX))/side), int((hiX-int64(s.bounds.MinX))/side)
+		y0, y1 := int((loY-int64(s.bounds.MinY))/side), int((hiY-int64(s.bounds.MinY))/side)
+		for y := y0; y <= y1; y++ {
+			for _, cell := range s.cells[y*cols+x0 : y*cols+x1+1] {
+				for _, i := range cell {
+					if category != "" && s.pois[i].Category != category {
+						continue
+					}
+					if !yield(i) {
+						return
+					}
+				}
+			}
+		}
+	}
+}
+
+// answer materializes a candidate set from catalogue indexes, sorted by ID
+// (catalogue order among equal IDs, so the output is deterministic even
+// for a catalogue that repeats an ID).
+func (s *POIStore) answer(idxs []int) []POI {
+	if len(idxs) == 0 {
+		return nil
+	}
+	slices.SortFunc(idxs, func(a, b int) int {
+		if c := strings.Compare(s.pois[a].ID, s.pois[b].ID); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	out := make([]POI, len(idxs))
+	for j, i := range idxs {
+		out[j] = s.pois[i]
+	}
+	return out
+}
+
 // InRange returns the POIs within radius of center, the paper's running
 // range-query example ("find gas stations within 2 miles").
 func (s *POIStore) InRange(center geo.Point, radius float64, category string) []POI {
 	r2 := radius * radius
-	var out []POI
-	for _, p := range s.pois {
-		if category != "" && p.Category != category {
-			continue
-		}
-		if float64(center.DistSq(p.Loc)) <= r2 {
-			out = append(out, p)
+	var idxs []int
+	point := geo.Rect{MinX: center.X, MinY: center.Y, MaxX: center.X, MaxY: center.Y}
+	for i := range s.inWindow(point, reachOf(radius), category) {
+		if float64(center.DistSq(s.pois[i].Loc)) <= r2 {
+			idxs = append(idxs, i)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return s.answer(idxs)
 }
 
 // CandidateNearest answers an anonymized nearest-neighbour request: it
@@ -204,30 +289,7 @@ func (s *POIStore) InRange(center geo.Point, radius float64, category string) []
 // filtering work) grows with the cloak area, which is why policy cost
 // (Section IV) uses cloak area as its utility measure.
 func (s *POIStore) CandidateNearest(cloak geo.Rect, category string) []POI {
-	idxs := s.byCat[category]
-	if category == "" {
-		idxs = nil
-		for i := range s.pois {
-			idxs = append(idxs, i)
-		}
-	}
-	if len(idxs) == 0 {
-		return nil
-	}
-	rStar := int64(math.MaxInt64)
-	for _, i := range idxs {
-		if d := cloak.MaxDistSqToPoint(s.pois[i].Loc); d < rStar {
-			rStar = d
-		}
-	}
-	var out []POI
-	for _, i := range idxs {
-		if cloak.MinDistSqToPoint(s.pois[i].Loc) <= rStar {
-			out = append(out, s.pois[i])
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return s.CandidateKNearest(cloak, 1, category)
 }
 
 // CandidateKNearest answers an anonymized top-N query: it returns a set
@@ -236,39 +298,53 @@ func (s *POIStore) CandidateNearest(cloak geo.Rect, category string) []POI {
 // smallest over POIs of the maximum distance from the POI to the cloak —
 // any cloak location has N POIs within rN — and keep every POI whose
 // minimum distance to the cloak is at most rN.
+//
+// rN is found without walking the catalogue: grow a window around the
+// cloak until it holds N POIs of the category, which bounds rN from above
+// by their N-th max-distance U; a POI with max-distance <= U has
+// min-distance <= U, so the exact rN is the N-th smallest max-distance
+// inside the cloak inflated by ceil(sqrt(U)), and the candidates lie
+// inside the cloak inflated by ceil(sqrt(rN)). A category too sparse to
+// fill a small window degrades to a walk of the whole grid.
 func (s *POIStore) CandidateKNearest(cloak geo.Rect, n int, category string) []POI {
-	if n <= 1 {
-		return s.CandidateNearest(cloak, category)
+	total := len(s.pois)
+	if category != "" {
+		total = s.perCat[category]
 	}
-	idxs := s.byCat[category]
-	if category == "" {
-		idxs = nil
-		for i := range s.pois {
+	if total == 0 {
+		return nil
+	}
+	n = min(max(n, 1), total)
+	var dists []int64
+	// nth returns the n-th smallest max-distance to the cloak among the
+	// category's POIs in the window, or -1 when the window holds fewer.
+	nth := func(reach int64) int64 {
+		dists = dists[:0]
+		for i := range s.inWindow(cloak, reach, category) {
+			dists = append(dists, cloak.MaxDistSqToPoint(s.pois[i].Loc))
+		}
+		if len(dists) < n {
+			return -1
+		}
+		slices.Sort(dists)
+		return dists[n-1]
+	}
+	// total >= n POIs exist inside the bounds, so the growing window
+	// (0, 1, 3, 7, ... cells; maxReach covers any store) ends the loop.
+	reach := int64(0)
+	upper := nth(reach)
+	for upper < 0 {
+		reach = min(2*reach+int64(s.cellSide), maxReach)
+		upper = nth(reach)
+	}
+	rN := nth(reachOfSq(upper))
+	var idxs []int
+	for i := range s.inWindow(cloak, reachOfSq(rN), category) {
+		if cloak.MinDistSqToPoint(s.pois[i].Loc) <= rN {
 			idxs = append(idxs, i)
 		}
 	}
-	if len(idxs) == 0 {
-		return nil
-	}
-	maxDists := make([]int64, len(idxs))
-	for j, i := range idxs {
-		maxDists[j] = cloak.MaxDistSqToPoint(s.pois[i].Loc)
-	}
-	sorted := append([]int64(nil), maxDists...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	rank := n - 1
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	rN := sorted[rank]
-	var out []POI
-	for _, i := range idxs {
-		if cloak.MinDistSqToPoint(s.pois[i].Loc) <= rN {
-			out = append(out, s.pois[i])
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return s.answer(idxs)
 }
 
 // FilterKNearest refines a candidate set to the exact N nearest POIs of
@@ -296,17 +372,13 @@ func FilterKNearest(cands []POI, loc geo.Point, n int) []POI {
 // argument for minimizing cloak area.
 func (s *POIStore) CandidateInRange(cloak geo.Rect, radius float64, category string) []POI {
 	r2 := radius * radius
-	var out []POI
-	for _, p := range s.pois {
-		if category != "" && p.Category != category {
-			continue
-		}
-		if float64(cloak.MinDistSqToPoint(p.Loc)) <= r2 {
-			out = append(out, p)
+	var idxs []int
+	for i := range s.inWindow(cloak, reachOf(radius), category) {
+		if float64(cloak.MinDistSqToPoint(s.pois[i].Loc)) <= r2 {
+			idxs = append(idxs, i)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return s.answer(idxs)
 }
 
 // FilterInRange is the client-side refinement of a range-query candidate

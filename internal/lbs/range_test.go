@@ -41,7 +41,7 @@ func TestCandidateInRangeSoundAndComplete(t *testing.T) {
 }
 
 func TestProviderRangeQueries(t *testing.T) {
-	csp, provider := pipelineFixture(t)
+	csp, _, provider := pipelineFixture(t)
 	// Sam asks for italian restaurants within 10 meters.
 	sr := ServiceRequest{UserID: "Sam", Loc: geo.Point{X: 3, Y: 1},
 		Params: []Param{{Name: "cat", Value: "ital"}, {Name: "range", Value: "10"}}}

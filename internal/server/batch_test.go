@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 
 	"policyanon/internal/lbs"
@@ -181,5 +182,90 @@ func TestBatchStatsAndMetrics(t *testing.T) {
 	}
 	if _, ok := counters["coalesce_flights"]; !ok {
 		t.Fatal("coalesce_flights family missing")
+	}
+}
+
+// TestBatchBadRangeParameter: a non-finite radius is the sender's error —
+// 400 on /v1/request, a per-item error in a batch — and an absurd finite
+// one is simply every POI of the category.
+func TestBatchBadRangeParameter(t *testing.T) {
+	ts := newTestServer(t)
+	installSnapshot(t, ts.URL, 5)
+	installPOIs(t, ts.URL)
+	ranged := func(i int, radius string) ServiceRequestJSON {
+		rq := batchUser(i)
+		rq.Params = []lbs.Param{{Name: "cat", Value: "gas"}, {Name: "range", Value: radius}}
+		return rq
+	}
+	for _, radius := range []string{"NaN", "Inf", "-Inf", "-3"} {
+		resp, body := post(t, ts.URL+"/v1/request", ranged(1, radius))
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(fmt.Sprint(body["error"]), "bad range parameter") {
+			t.Fatalf("range=%s: %d %v, want 400 bad range parameter", radius, resp.StatusCode, body)
+		}
+	}
+	resp, items := postBatch(t, ts.URL, []ServiceRequestJSON{ranged(0, "NaN"), ranged(1, "1e300"), ranged(2, "+Inf"), ranged(3, "0")})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: %d", resp.StatusCode)
+	}
+	if !strings.Contains(items[0].Error, "bad range parameter") || !strings.Contains(items[2].Error, "bad range parameter") {
+		t.Fatalf("non-finite radii served: %+v / %+v", items[0], items[2])
+	}
+	if items[1].Error != "" || len(items[1].Candidates) != 2 {
+		t.Fatalf("range=1e300 answered %+v, want both gas stations", items[1])
+	}
+	if items[3].Error != "" {
+		t.Fatalf("range=0 failed: %q", items[3].Error)
+	}
+}
+
+// TestCoalesceCountersSurviveCSPReplacement: the CSP's counters are folded
+// into the registry only when somebody reads them and when a POI install
+// retires the CSP, and the coalesce_* families stay monotonic across both.
+func TestCoalesceCountersSurviveCSPReplacement(t *testing.T) {
+	ts := newTestServer(t)
+	installSnapshot(t, ts.URL, 5)
+	installPOIs(t, ts.URL)
+	flights := func() float64 {
+		t.Helper()
+		_, doc := get(t, ts.URL+"/v1/metrics")
+		counters, _ := doc["counters"].(map[string]any)
+		v, _ := counters["coalesce_flights"].(float64)
+		return v
+	}
+	serve := func(cat string) {
+		t.Helper()
+		rq := batchUser(0)
+		rq.Params = []lbs.Param{{Name: "cat", Value: cat}}
+		if resp, body := post(t, ts.URL+"/v1/request", rq); resp.StatusCode != http.StatusOK {
+			t.Fatalf("request: %d %v", resp.StatusCode, body)
+		}
+	}
+	serve("gas")
+	serve("rest")
+	serve("gas")           // a hit: no flight
+	installPOIs(t, ts.URL) // retires the CSP before anyone scraped its two flights
+	serve("gas")
+	if got := flights(); got != 3 {
+		t.Fatalf("coalesce_flights = %v after 2 flights, a CSP replacement and 1 more, want 3", got)
+	}
+	serve("rest")
+	if got := flights(); got != 4 {
+		t.Fatalf("coalesce_flights = %v, want 4", got)
+	}
+	_, stats := get(t, ts.URL+"/v1/stats")
+	if stats["requestsServed"].(float64) != 5 || stats["coalesceFlights"].(float64) != 2 || stats["cacheHits"].(float64) != 0 {
+		t.Fatalf("stats = %v, want 5 served and the live CSP's 2 flights, 0 hits", stats)
+	}
+}
+
+func TestCounterDelta(t *testing.T) {
+	for _, tc := range []struct{ last, cur, want int64 }{
+		{0, 0, 0}, {3, 7, 4}, {7, 7, 0},
+		{7, 2, 2}, // the source restarted: all it has counted is new
+		{7, 0, 0},
+	} {
+		if got := counterDelta(tc.last, tc.cur); got != tc.want {
+			t.Errorf("counterDelta(%d, %d) = %d, want %d", tc.last, tc.cur, got, tc.want)
+		}
 	}
 }

@@ -149,6 +149,12 @@ type Server struct {
 	// this layer existed, which is what the trace benchmark compares.
 	recorder  *flight.Recorder
 	traceReqs atomic.Bool
+
+	// requestsServed and batchesServed are Stats.RequestsServed and
+	// Stats.BatchesServed, counted lock-free on the serving path and
+	// copied into the document when /v1/stats is read.
+	requestsServed atomic.Int64
+	batchesServed  atomic.Int64
 }
 
 // Stats reports the server's state.
@@ -450,6 +456,9 @@ func statusLabel(code int) string {
 // handleMetrics exports the registry: JSON snapshot by default, or
 // Prometheus text exposition format 0.0.4 with ?format=prometheus.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	s.foldServeStatsLocked()
+	s.mu.Unlock()
 	switch r.URL.Query().Get("format") {
 	case "", "json":
 		writeJSON(w, http.StatusOK, s.reg.Snapshot())
@@ -775,6 +784,7 @@ func (s *Server) handlePOIs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
+	s.foldServeStatsLocked() // the outgoing CSP's counts, before it goes
 	s.provider = lbs.NewPOIProvider(store)
 	if s.policy != nil {
 		s.csp = lbs.NewCSP(s.policy, s.provider)
@@ -891,10 +901,7 @@ func (s *Server) handleRequest(w http.ResponseWriter, r *http.Request) {
 		s.aud.MaybeObserveRequest(ctx, engineName, policy, ar.Cloak, k)
 	}
 	s.reg.Counter("serve_requests:single").Inc()
-	s.mu.Lock()
-	s.stats.RequestsServed++
-	s.updateServeStatsLocked(csp)
-	s.mu.Unlock()
+	s.requestsServed.Add(1)
 	out := make([]POIJSON, len(answer))
 	for i, p := range answer {
 		out[i] = POIJSON{ID: p.ID, X: p.Loc.X, Y: p.Loc.Y, Category: p.Category}
@@ -906,18 +913,22 @@ func (s *Server) handleRequest(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// updateServeStatsLocked folds the CSP's cumulative cache and coalesce
+// foldServeStatsLocked folds the live CSP's cumulative cache and coalesce
 // counters into the stats snapshot and the coalesce_* metric families.
-// Callers hold s.mu. The CSP's counters reset on FlushCache and when a
-// snapshot or POI install replaces the CSP; counterDelta keeps the
-// monotonic registry counters sane across such epochs.
-func (s *Server) updateServeStatsLocked(csp *lbs.CSP) {
-	hits, misses := csp.CacheStats()
-	flights, coalesced := csp.CoalesceStats()
-	s.reg.Counter("coalesce_flights").Add(counterDelta(s.stats.CoalesceFlights, flights))
-	s.reg.Counter("coalesce_coalesced").Add(counterDelta(s.stats.CoalesceCoalesced, coalesced))
-	s.stats.CacheHits, s.stats.CacheMisses = hits, misses
-	s.stats.CoalesceFlights, s.stats.CoalesceCoalesced = flights, coalesced
+// It runs when somebody reads them (/v1/stats, /v1/metrics) and before a
+// POI install replaces the CSP — never on the serving path. Callers hold
+// s.mu. The CSP's counters reset on FlushCache and with a new CSP;
+// counterDelta keeps the monotonic registry counters sane across such
+// epochs.
+func (s *Server) foldServeStatsLocked() {
+	if s.csp == nil {
+		return
+	}
+	st := s.csp.Stats()
+	s.reg.Counter("coalesce_flights").Add(counterDelta(s.stats.CoalesceFlights, st.Flights))
+	s.reg.Counter("coalesce_coalesced").Add(counterDelta(s.stats.CoalesceCoalesced, st.Coalesced))
+	s.stats.CacheHits, s.stats.CacheMisses = st.Hits, st.Misses
+	s.stats.CoalesceFlights, s.stats.CoalesceCoalesced = st.Flights, st.Coalesced
 }
 
 // counterDelta returns the increment from last to cur for a cumulative
@@ -1041,11 +1052,8 @@ func (s *Server) handleRequestBatch(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 	s.reg.Counter("serve_batches").Inc()
 	s.reg.Counter("serve_requests:batch").Add(int64(len(req.Requests)))
-	s.mu.Lock()
-	s.stats.RequestsServed += int64(len(req.Requests))
-	s.stats.BatchesServed++
-	s.updateServeStatsLocked(csp)
-	s.mu.Unlock()
+	s.requestsServed.Add(int64(len(req.Requests)))
+	s.batchesServed.Add(1)
 	writeJSON(w, http.StatusOK, map[string]any{"results": items})
 }
 
@@ -1129,14 +1137,11 @@ func (s *Server) handleCheckpointRestore(w http.ResponseWriter, r *http.Request)
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.refreshMotion()
 	s.mu.Lock()
-	// Fold in the CSP's live cache/coalesce counters so the endpoint is
-	// current even when no request has been served since the last read.
-	if s.csp != nil {
-		s.updateServeStatsLocked(s.csp)
-	}
+	s.foldServeStatsLocked()
 	st := s.stats
 	pl := s.pipeline
 	s.mu.Unlock()
+	st.RequestsServed, st.BatchesServed = s.requestsServed.Load(), s.batchesServed.Load()
 	if pl != nil {
 		ms := pl.Stats()
 		st.MotionEpoch = ms.Epoch

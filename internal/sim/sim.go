@@ -304,7 +304,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 
 		// 2. Fresh provider + caching CSP for this snapshot epoch.
-		provider := lbs.NewPOIProvider(store)
+		provider := lbs.NewRecordingProvider(lbs.NewPOIProvider(store))
 		csp := lbs.NewCSP(policy, provider)
 
 		// 3. Requests.

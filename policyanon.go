@@ -17,8 +17,9 @@
 //   - the attacker model (Audit, Candidates, IsKAnonymous) for both
 //     policy-aware and policy-unaware attacker classes;
 //   - parallel deployment over map jurisdictions (NewEngine, Partition);
-//   - the privacy-conscious LBS pipeline (CSP, POIStore, POIProvider)
-//     with cloaked nearest-neighbour evaluation and the request cache;
+//   - the privacy-conscious LBS pipeline (CSP, POIStore, POIProvider,
+//     RecordingProvider) with cloaked nearest-neighbour evaluation and
+//     the request cache;
 //   - a synthetic Bay-Area workload generator (GenerateWorkload).
 //
 // Quick start:
@@ -97,6 +98,9 @@ type (
 	POIStore = lbs.POIStore
 	// POIProvider answers anonymized requests from a POIStore.
 	POIProvider = lbs.POIProvider
+	// RecordingProvider wraps a provider and logs every anonymized
+	// request it is asked: the provider log the attacks replay.
+	RecordingProvider = lbs.RecordingProvider
 	// CSP is the trusted anonymizing front end with result cache.
 	CSP = lbs.CSP
 )
@@ -340,8 +344,14 @@ func NewPOIStore(pois []POI, bounds Rect, cellSide int32) (*POIStore, error) {
 	return lbs.NewPOIStore(pois, bounds, cellSide)
 }
 
-// NewPOIProvider wraps a store as an answering, logging LBS provider.
+// NewPOIProvider wraps a store as an answering, billing LBS provider.
 func NewPOIProvider(store *POIStore) *POIProvider { return lbs.NewPOIProvider(store) }
+
+// NewRecordingProvider wraps a provider so that every anonymized request
+// it sees is kept for RecordingProvider.Log.
+func NewRecordingProvider(next lbs.Provider) *RecordingProvider {
+	return lbs.NewRecordingProvider(next)
+}
 
 // NewCSP wires a policy to a provider with the Section VII result cache.
 func NewCSP(policy *Assignment, provider lbs.Provider) *CSP {
