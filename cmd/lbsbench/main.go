@@ -1,6 +1,8 @@
 // Command lbsbench regenerates the paper's evaluation tables and figures
-// (Section VI) from the synthetic Bay-Area dataset, plus the repository's
-// extension experiments.
+// (Section VI, Figures 2–5) from the synthetic Bay-Area dataset, plus the
+// extension tables in EXPERIMENTS.md and the intra-tree worker sweep. The
+// cost of the running server is not measured here: that is benchmark/
+// (BENCHMARK.json), which drives the real anonserver from outside.
 //
 // Usage:
 //
@@ -8,34 +10,11 @@
 //	lbsbench -exp fig4a -scale paper           # full 1.75M-location sweep
 //	lbsbench -exp fig5a -k 50 -format csv      # machine-readable output
 //
-// Experiments: fig2 (population density), fig3 (tree shape), fig4a (bulk
-// anonymization time vs |D| and servers), fig4b (time vs k), fig5a (cost
-// overhead vs Casper/PUB/PUQ), fig5b (incremental maintenance), parallel
-// (Section VI-D utility loss), hilbert (policy-aware-safe schemes),
-// adaptive (semi-quadrant orientation), trajectory (anonymity erosion),
-// utility (answer sizes), engines (cross-engine registry sweep; select
-// engines with -engines), workers (intra-tree DP worker sweep; writes the
-// tracked BENCH_bulkdp.json baseline — see -bench-out, -workers,
-// -bench-time, and the validate-only -check-bench mode), audit (privacy
-// observatory serving overhead: /v1/request throughput with audit
-// sampling off vs at -audit-rate; writes the tracked BENCH_audit.json —
-// see -audit-out), churn (live motion pipeline: streaming update
-// throughput under forced incremental maintenance vs rebuild-per-batch;
-// writes the tracked BENCH_churn.json — see -churn-out), serve (amortized
-// serving hot path: POST /v1/request/batch throughput and p50/p99 vs
-// sequential /v1/request, with CSP singleflight counters; writes the
-// tracked BENCH_serve.json — see -serve-out, -batch-size), trace
-// (always-on observability overhead: /v1/request throughput with
-// tail-sampled request tracing off vs on, plus flight-recorder retention
-// accounting; writes the tracked BENCH_trace.json — see -trace-out), all.
-//
-// -check-bench validates any tracked benchmark document: it sniffs the
-// "bench" discriminator field and dispatches to the matching loader, so
-// CI can gate BENCH_bulkdp.json, BENCH_audit.json, BENCH_churn.json,
-// BENCH_serve.json, and BENCH_trace.json with one mode. A negative measured overhead (the audited run out-ran
-// its baseline) passes with a note — it is measurement noise, not a
-// speedup. -check-bench-all validates every BENCH_*.json in the working
-// directory in a single pass, for the CI bench-smoke job.
+// The experiments are the rows of experimentTable (experiments.go);
+// lbsbench -h lists them. -exp all runs every one that only prints a
+// table. -exp workers also writes a file (-bench-out, default
+// BENCH_bulkdp.json, the tracked baseline) and so runs only when named;
+// -check-bench validates such a file and exits.
 //
 // All comparative experiments resolve their policies from the engine
 // registry (internal/engine), so output keys are stable registry names.
@@ -49,168 +28,116 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"policyanon/internal/audit"
 	"policyanon/internal/engine"
 	"policyanon/internal/experiments"
 	"policyanon/internal/obs"
 	_ "policyanon/internal/parallel" // register the "parallel" engine
-	"policyanon/internal/workload"
 )
 
+// options is the command line.
+type options struct {
+	exp, scale, format string
+	k                  int
+	seed               int64
+	engines            string
+	traceOut           string
+	phases             bool
+	benchOut           string
+	workers            string
+	benchTime          time.Duration
+}
+
+var formats = map[string]func(experiments.Table, io.Writer) error{
+	"table":    experiments.Table.WriteText,
+	"csv":      experiments.Table.WriteCSV,
+	"markdown": experiments.Table.WriteMarkdown,
+}
+
+// env is a validated command line plus the dataset it runs over.
+type env struct {
+	options
+	sizing
+	todo         []experiment
+	workerCounts []int    // -workers, parsed
+	engineNames  []string // -engines, resolved
+	data         experiments.Dataset
+}
+
 func main() {
-	var (
-		exp        = flag.String("exp", "all", "experiment: fig2|fig3|fig4a|fig4b|fig5a|fig5b|parallel|utility|hilbert|adaptive|trajectory|engines|workers|audit|churn|serve|trace|all")
-		scale      = flag.String("scale", "small", "dataset scale: small (~50k users) or paper (1.75M users)")
-		k          = flag.Int("k", 50, "anonymity parameter k")
-		seed       = flag.Int64("seed", 42, "dataset seed")
-		format     = flag.String("format", "table", "output format: table|csv|markdown")
-		engines    = flag.String("engines", "", "comma-separated registry names for -exp engines (default: all but bulkdp-naive)")
-		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON file of the run")
-		phases     = flag.Bool("phase-summary", false, "print per-phase timing table to stderr")
-		benchOut   = flag.String("bench-out", "BENCH_bulkdp.json", "output file for the -exp workers sweep")
-		workerList = flag.String("workers", "1,2,4,8", "comma-separated worker counts for -exp workers")
-		benchTime  = flag.Duration("bench-time", time.Second, "measurement budget per worker count for -exp workers and per mode for -exp audit")
-		auditOut   = flag.String("audit-out", "BENCH_audit.json", "output file for the -exp audit overhead benchmark")
-		churnOut   = flag.String("churn-out", "BENCH_churn.json", "output file for the -exp churn streaming benchmark")
-		auditRate  = flag.Float64("audit-rate", audit.DefaultRate, "request sampling rate for -exp audit's sampled mode")
-		serveOut   = flag.String("serve-out", "BENCH_serve.json", "output file for the -exp serve throughput benchmark")
-		batchSize  = flag.Int("batch-size", 64, "requests per batch POST for -exp serve")
-		// -trace is already the Chrome trace_event output; the tracked
-		// tracing-overhead document gets its own flag.
-		traceBenchOut = flag.String("trace-out", "BENCH_trace.json", "output file for the -exp trace overhead benchmark")
-		checkBench    = flag.String("check-bench", "", "validate an existing BENCH file (bulkdp, audit, churn, serve, or trace) and exit (CI gate)")
-		checkBenchAll = flag.Bool("check-bench-all", false, "validate every tracked BENCH_*.json in the working directory in one pass and exit (CI gate)")
-	)
+	expUsage := "experiment: all (every one that writes no file), or one of"
+	for _, x := range experimentTable {
+		expUsage += fmt.Sprintf("\n%-10s  %s", x.name, x.title)
+	}
+	var o options
+	flag.StringVar(&o.exp, "exp", "all", expUsage)
+	flag.StringVar(&o.scale, "scale", "small", "dataset scale: small (~50k users) or paper (1.75M users)")
+	flag.IntVar(&o.k, "k", 50, "anonymity parameter k")
+	flag.Int64Var(&o.seed, "seed", 42, "dataset seed")
+	flag.StringVar(&o.format, "format", "table", "output format: table|csv|markdown")
+	flag.StringVar(&o.engines, "engines", "", "comma-separated registry names for -exp engines (default: all but bulkdp-naive)")
+	flag.StringVar(&o.traceOut, "trace", "", "write a Chrome trace_event JSON file of the run")
+	flag.BoolVar(&o.phases, "phase-summary", false, "print per-phase timing table to stderr")
+	flag.StringVar(&o.benchOut, "bench-out", "BENCH_bulkdp.json", "output file for the -exp workers sweep")
+	flag.StringVar(&o.workers, "workers", "1,2,4,8", "comma-separated worker counts for -exp workers")
+	flag.DurationVar(&o.benchTime, "bench-time", time.Second, "measurement budget per worker count for -exp workers")
+	checkBench := flag.String("check-bench", "", "validate a BENCH_bulkdp.json document and exit (CI gate)")
 	flag.Parse()
+
+	var err error
 	if *checkBench != "" {
-		note, err := checkBenchFile(*checkBench)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lbsbench:", err)
-			os.Exit(1)
+		var note string
+		if note, err = checkBenchFile(*checkBench); err == nil {
+			fmt.Printf("%s: valid%s\n", *checkBench, note)
 		}
-		fmt.Printf("%s: valid%s\n", *checkBench, note)
-		return
+	} else {
+		err = run(o, os.Stdout)
 	}
-	if *checkBenchAll {
-		if err := checkAllBenchFiles(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "lbsbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*exp, *scale, *k, *seed, *format, *engines, *traceOut, *phases,
-		*benchOut, *workerList, *benchTime, *auditOut, *auditRate, *churnOut,
-		*serveOut, *batchSize, *traceBenchOut); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "lbsbench:", err)
 		os.Exit(1)
 	}
 }
 
-// checkBenchFile is the -check-bench mode: decode and validate a tracked
-// benchmark document, failing the process on malformed or out-of-budget
-// output. The document kind is sniffed from the "bench" discriminator
-// field; documents without one are the original bulkdp sweeps. The
-// returned note annotates pass-with-note conditions — a negative measured
-// overhead (the audited run out-ran the baseline) is measurement noise,
-// not a failure.
+// checkBenchFile is the -check-bench mode: decode and validate a worker
+// sweep document. The returned note says how its speedup compares with
+// the floor for the machine that recorded it; that is never a failure.
 func checkBenchFile(path string) (string, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return "", err
 	}
-	var probe struct {
-		Bench string `json:"bench"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return "", fmt.Errorf("%s: %w", path, err)
-	}
-	note := ""
-	switch probe.Bench {
-	case "audit":
-		var b *experiments.AuditBench
-		b, err = experiments.LoadAuditBench(bytes.NewReader(data))
-		if err == nil {
-			if b.OverheadPct < 0 {
-				note += fmt.Sprintf(" (note: overheadPct %.2f%% < 0 is measurement noise, treated as 0)", b.OverheadPct)
-			}
-			if b.LedgerOverheadPct != nil && *b.LedgerOverheadPct < 0 {
-				note += fmt.Sprintf(" (note: ledgerOverheadPct %.2f%% < 0 is measurement noise, treated as 0)", *b.LedgerOverheadPct)
-			}
-		}
-	case "churn":
-		_, err = experiments.LoadChurnBench(bytes.NewReader(data))
-	case "serve":
-		_, err = experiments.LoadServeBench(bytes.NewReader(data))
-	case "trace":
-		var b *experiments.TraceBench
-		b, err = experiments.LoadTraceBench(bytes.NewReader(data))
-		if err == nil && b.OverheadPct < 0 {
-			note += fmt.Sprintf(" (note: overheadPct %.2f%% < 0 is measurement noise, treated as 0)", b.OverheadPct)
-		}
-	case "":
-		var b *experiments.BulkDPBench
-		b, err = experiments.LoadBulkDPBench(bytes.NewReader(data))
-		if err == nil {
-			note += b.SpeedupGateNote()
-		}
-	default:
-		err = fmt.Errorf("unknown bench kind %q", probe.Bench)
-	}
+	defer f.Close()
+	b, err := experiments.LoadBulkDPBench(f)
 	if err != nil {
 		return "", fmt.Errorf("%s: %w", path, err)
 	}
-	return note, nil
+	return b.SpeedupGateNote(), nil
 }
 
-// checkAllBenchFiles is the -check-bench-all mode: glob every tracked
-// BENCH_*.json in the working directory and validate each, reporting all
-// failures (not just the first) before failing the process.
-func checkAllBenchFiles(w io.Writer) error {
-	paths, err := filepath.Glob("BENCH_*.json")
-	if err != nil {
-		return err
-	}
-	if len(paths) == 0 {
-		return fmt.Errorf("check-bench-all: no BENCH_*.json files in the working directory")
-	}
-	sort.Strings(paths)
-	failed := 0
-	for _, path := range paths {
-		note, err := checkBenchFile(path)
-		if err != nil {
-			fmt.Fprintf(w, "%s: INVALID: %v\n", path, err)
-			failed++
-			continue
+// splitList splits a comma-separated flag value, dropping empty entries.
+func splitList(s string) []string {
+	var out []string
+	for _, f := range strings.Split(s, ",") {
+		if f = strings.TrimSpace(f); f != "" {
+			out = append(out, f)
 		}
-		fmt.Fprintf(w, "%s: valid%s\n", path, note)
 	}
-	if failed > 0 {
-		return fmt.Errorf("check-bench-all: %d of %d tracked documents failed", failed, len(paths))
-	}
-	return nil
+	return out
 }
 
 // parseWorkerList parses the -workers flag ("1,2,4,8").
 func parseWorkerList(s string) ([]int, error) {
 	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
+	for _, f := range splitList(s) {
 		n, err := strconv.Atoi(f)
 		if err != nil || n < 1 {
 			return nil, fmt.Errorf("bad -workers entry %q", f)
@@ -227,13 +154,7 @@ func parseWorkerList(s string) ([]int, error) {
 // every registered engine except the quadratic bulkdp-naive ablation,
 // which is unusable at benchmark sizes.
 func sweepEngines(flagVal string) []string {
-	if flagVal != "" {
-		var names []string
-		for _, n := range strings.Split(flagVal, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				names = append(names, n)
-			}
-		}
+	if names := splitList(flagVal); len(names) > 0 {
 		return names
 	}
 	var names []string
@@ -245,343 +166,103 @@ func sweepEngines(flagVal string) []string {
 	return names
 }
 
-func run(exp, scale string, k int, seed int64, format, engineList, traceOut string, phases bool,
-	benchOut, workerList string, benchTime time.Duration, auditOut string, auditRate float64,
-	churnOut, serveOut string, batchSize int, traceBenchOut string) error {
-	switch format {
-	case "table", "csv", "markdown":
-	default:
-		return fmt.Errorf("unknown format %q", format)
+// plan validates every flag that selects work and resolves it into an env
+// that lacks only the dataset, so a mistyped name costs nothing: at -scale
+// paper the dataset is 1.75M generated locations.
+func plan(o options) (*env, error) {
+	e := &env{options: o}
+	var ok bool
+	if e.sizing, ok = scales[o.scale]; !ok {
+		return nil, fmt.Errorf("unknown scale %q", o.scale)
 	}
-	var cfg workload.Config
-	var sizes []int
-	var servers []int
-	var fig4bN, fig5bN, parN int
-	switch scale {
-	case "small":
-		cfg = workload.Config{MapSide: 1 << 14, Intersections: 10000, UsersPerIntersection: 5, SpreadSigma: 150}
-		sizes = []int{10000, 20000, 30000, 40000, 50000}
-		servers = []int{1, 2, 4, 8, 16}
-		fig4bN, fig5bN, parN = 30000, 30000, 50000
-	case "paper":
-		cfg = workload.Config{} // defaults: 175k intersections x 10 = 1.75M
-		sizes = []int{100000, 250000, 500000, 1000000, 1750000}
-		servers = []int{1, 2, 4, 8, 16, 32}
-		fig4bN, fig5bN, parN = 1000000, 1000000, 1000000
-	default:
-		return fmt.Errorf("unknown scale %q", scale)
+	if formats[o.format] == nil {
+		return nil, fmt.Errorf("unknown format %q", o.format)
 	}
-	tableMode := format == "table"
-	banner := func(s string) {
-		if tableMode {
-			fmt.Println(s)
+	for _, x := range experimentTable {
+		if o.exp == x.name || o.exp == "all" && !x.writesFile {
+			e.todo = append(e.todo, x)
 		}
 	}
-	emit := func(tbl experiments.Table, print func()) error {
-		switch format {
-		case "csv":
-			return tbl.WriteCSV(os.Stdout)
-		case "markdown":
-			return tbl.WriteMarkdown(os.Stdout)
-		default:
-			print()
-			fmt.Println()
-			return nil
+	if len(e.todo) == 0 {
+		return nil, fmt.Errorf("unknown experiment %q (lbsbench -h lists them)", o.exp)
+	}
+	var err error
+	if e.workerCounts, err = parseWorkerList(o.workers); err != nil {
+		return nil, err
+	}
+	e.engineNames = sweepEngines(o.engines)
+	for _, n := range e.engineNames {
+		if _, err := engine.Get(n); err != nil {
+			return nil, fmt.Errorf("-engines: %w", err)
 		}
 	}
+	return e, nil
+}
 
+func run(o options, w io.Writer) error {
+	e, err := plan(o)
+	if err != nil {
+		return err
+	}
 	start := time.Now()
-	if tableMode {
-		fmt.Printf("generating %s-scale dataset (seed %d)...\n", scale, seed)
+	if o.format == "table" {
+		fmt.Fprintf(w, "generating %s-scale dataset (seed %d)...\n", o.scale, o.seed)
 	}
-	d := experiments.NewDataset(cfg, seed)
+	e.data = experiments.NewDataset(e.cfg, o.seed)
+	if o.format == "table" {
+		fmt.Fprintf(w, "master set: %d locations in %v; k=%d, |D| sweep %v, fixed |D|=%d (Sec VI-D: %d)\n\n",
+			e.data.Master.Len(), time.Since(start).Round(time.Millisecond), o.k, e.sizes, e.fixedN, e.parallelN)
+	}
 	var tracer *obs.Tracer
-	if traceOut != "" || phases {
+	if o.traceOut != "" || o.phases {
 		tracer = obs.NewTracer()
-		d.Ctx = obs.WithTracer(context.Background(), tracer)
+		e.data.Ctx = obs.WithTracer(context.Background(), tracer)
 	}
-	if tableMode {
-		fmt.Printf("master set: %d locations in %v\n\n", d.Master.Len(), time.Since(start).Round(time.Millisecond))
+	if err := e.execute(w); err != nil {
+		return err
 	}
-
-	want := func(name string) bool { return exp == "all" || exp == name }
-	ran := false
-
-	if want("fig2") {
-		ran = true
-		banner("== Fig 2: synthetic population density (skew summary) ==")
-		rows := experiments.Fig2(d, []int{8, 16, 32})
-		if err := emit(experiments.Fig2Table(rows), func() { experiments.PrintFig2(os.Stdout, rows) }); err != nil {
-			return err
-		}
-	}
-	if want("fig3") {
-		ran = true
-		banner(fmt.Sprintf("== Fig 3: binary tree shape, k=%d ==", k))
-		rows, err := experiments.Fig3(d, sizes, k)
-		if err != nil {
-			return err
-		}
-		if err := emit(experiments.Fig3Table(rows), func() { experiments.PrintFig3(os.Stdout, rows) }); err != nil {
-			return err
-		}
-	}
-	if want("fig4a") {
-		ran = true
-		banner(fmt.Sprintf("== Fig 4(a): bulk anonymization time vs |D|, k=%d ==", k))
-		rows, err := experiments.Fig4a(d, sizes, servers, k)
-		if err != nil {
-			return err
-		}
-		if err := emit(experiments.Fig4aTable(rows), func() { experiments.PrintFig4a(os.Stdout, rows) }); err != nil {
-			return err
-		}
-	}
-	if want("fig4b") {
-		ran = true
-		banner(fmt.Sprintf("== Fig 4(b): anonymization time vs k, |D|=%d ==", fig4bN))
-		rows, err := experiments.Fig4b(d, fig4bN, []int{10, 25, 50, 75, 100, 150})
-		if err != nil {
-			return err
-		}
-		if err := emit(experiments.Fig4bTable(rows), func() { experiments.PrintFig4b(os.Stdout, rows) }); err != nil {
-			return err
-		}
-	}
-	if want("fig5a") {
-		ran = true
-		banner(fmt.Sprintf("== Fig 5(a): average cloak area by policy, k=%d ==", k))
-		rows, err := experiments.Fig5a(d, sizes, k)
-		if err != nil {
-			return err
-		}
-		if err := emit(experiments.Fig5aTable(rows), func() { experiments.PrintFig5a(os.Stdout, rows) }); err != nil {
-			return err
-		}
-	}
-	if want("fig5b") {
-		ran = true
-		banner(fmt.Sprintf("== Fig 5(b): incremental maintenance vs bulk, |D|=%d, k=%d ==", fig5bN, k))
-		rows, err := experiments.Fig5b(d, fig5bN, k,
-			[]float64{0.0001, 0.001, 0.01, 0.02, 0.05, 0.10}, 200)
-		if err != nil {
-			return err
-		}
-		if err := emit(experiments.Fig5bTable(rows), func() { experiments.PrintFig5b(os.Stdout, rows) }); err != nil {
-			return err
-		}
-	}
-	if want("hilbert") {
-		ran = true
-		banner(fmt.Sprintf("== Extension: policy-aware-safe schemes and FindMBC, k=%d ==", k))
-		rows, err := experiments.Hilbert(d, sizes[:min(2, len(sizes))], k)
-		if err != nil {
-			return err
-		}
-		if err := emit(experiments.HilbertTable(rows), func() { experiments.PrintHilbert(os.Stdout, rows) }); err != nil {
-			return err
-		}
-	}
-	if want("adaptive") {
-		ran = true
-		banner(fmt.Sprintf("== Extension: adaptive semi-quadrant orientation, k=%d ==", k))
-		rows, err := experiments.Adaptive(d, sizes[:min(3, len(sizes))], k)
-		if err != nil {
-			return err
-		}
-		if err := emit(experiments.AdaptiveTable(rows), func() { experiments.PrintAdaptive(os.Stdout, rows) }); err != nil {
-			return err
-		}
-	}
-	if want("trajectory") {
-		ran = true
-		banner(fmt.Sprintf("== Extension: trajectory-aware anonymity erosion, k=%d ==", k))
-		rows, err := experiments.TrajectoryErosion(d, sizes[0], k, 8, -1)
-		if err != nil {
-			return err
-		}
-		if err := emit(experiments.TrajectoryTable(rows), func() { experiments.PrintTrajectory(os.Stdout, rows) }); err != nil {
-			return err
-		}
-	}
-	if want("utility") {
-		ran = true
-		banner(fmt.Sprintf("== Utility extension: NN answer sizes over a 10k-POI catalogue, |D|=%d, k=%d ==", fig5bN, k))
-		rows, err := experiments.AnswerSize(d, fig5bN, k, 10000)
-		if err != nil {
-			return err
-		}
-		if err := emit(experiments.UtilityTable(rows), func() { experiments.PrintUtility(os.Stdout, rows) }); err != nil {
-			return err
-		}
-	}
-	if want("engines") {
-		ran = true
-		names := sweepEngines(engineList)
-		banner(fmt.Sprintf("== Cross-engine sweep: %s, |D|=%d, k=%d ==", strings.Join(names, " "), sizes[0], k))
-		rows, err := experiments.EngineSweep(d, sizes[0], k, names)
-		if err != nil {
-			return err
-		}
-		if err := emit(experiments.EnginesTable(rows), func() { experiments.PrintEngines(os.Stdout, rows) }); err != nil {
-			return err
-		}
-	}
-	if want("workers") {
-		ran = true
-		counts, err := parseWorkerList(workerList)
-		if err != nil {
-			return err
-		}
-		banner(fmt.Sprintf("== Bulk_dp intra-tree worker sweep, |D|=%d, k=%d ==", sizes[0], k))
-		bench, err := experiments.WorkersSweep(d, sizes[0], k, counts, benchTime)
-		if err != nil {
-			return err
-		}
-		bench.Dataset = scale
-		if err := writeBench(benchOut, bench); err != nil {
-			return err
-		}
-		if err := emit(experiments.BulkDPBenchTable(bench), func() { experiments.PrintBulkDPBench(os.Stdout, bench) }); err != nil {
-			return err
-		}
-		// The one-line summary goes to stderr in every format, so CSV and
-		// markdown pipelines still show the speedup at a glance.
-		fmt.Fprintln(os.Stderr, "lbsbench:", experiments.SpeedupSummary(bench))
-		fmt.Fprintf(os.Stderr, "lbsbench: sweep written to %s\n", benchOut)
-	}
-	if want("audit") {
-		ran = true
-		banner(fmt.Sprintf("== Privacy observatory: /v1/request audit overhead, |D|=%d, k=%d, rate=%.4f ==",
-			sizes[0], k, auditRate))
-		bench, err := experiments.AuditSweep(d, sizes[0], k, auditRate, benchTime)
-		if err != nil {
-			return err
-		}
-		bench.Dataset = scale
-		if err := writeBench(auditOut, bench); err != nil {
-			return err
-		}
-		if err := emit(experiments.AuditBenchTable(bench), func() { experiments.PrintAuditBench(os.Stdout, bench) }); err != nil {
-			return err
-		}
-		fmt.Fprintln(os.Stderr, "lbsbench:", experiments.AuditOverheadSummary(bench))
-		fmt.Fprintf(os.Stderr, "lbsbench: audit benchmark written to %s\n", auditOut)
-	}
-	if want("churn") {
-		ran = true
-		// Churn runs at the scale's full master population (the largest
-		// sweep size), not the smallest: delta publication's advantage
-		// over rebuild grows with |D| because a fixed-size move batch
-		// dirties a near-constant ancestor closure while the rebuild DP
-		// is O(|D|). Measuring at the smallest size understates the
-		// steady-state streaming regime the gate protects.
-		churnN := sizes[len(sizes)-1]
-		banner(fmt.Sprintf("== Live motion: streaming churn, incremental vs rebuild, |D|=%d, k=%d ==", churnN, k))
-		bench, err := experiments.ChurnSweep(d, churnN, k, benchTime)
-		if err != nil {
-			return err
-		}
-		bench.Dataset = scale
-		if err := writeBench(churnOut, bench); err != nil {
-			return err
-		}
-		if err := emit(experiments.ChurnBenchTable(bench), func() { experiments.PrintChurnBench(os.Stdout, bench) }); err != nil {
-			return err
-		}
-		fmt.Fprintln(os.Stderr, "lbsbench:", experiments.ChurnSpeedupSummary(bench))
-		fmt.Fprintf(os.Stderr, "lbsbench: churn benchmark written to %s\n", churnOut)
-	}
-	if want("serve") {
-		ran = true
-		banner(fmt.Sprintf("== Amortized serving: /v1/request/batch vs /v1/request, |D|=%d, k=%d, batch=%d ==",
-			sizes[0], k, batchSize))
-		bench, err := experiments.ServeSweep(d, sizes[0], k, batchSize, benchTime)
-		if err != nil {
-			return err
-		}
-		bench.Dataset = scale
-		if err := writeBench(serveOut, bench); err != nil {
-			return err
-		}
-		if err := emit(experiments.ServeBenchTable(bench), func() { experiments.PrintServeBench(os.Stdout, bench) }); err != nil {
-			return err
-		}
-		fmt.Fprintln(os.Stderr, "lbsbench:", experiments.ServeSpeedupSummary(bench))
-		fmt.Fprintf(os.Stderr, "lbsbench: serve benchmark written to %s\n", serveOut)
-	}
-	if want("trace") {
-		ran = true
-		banner(fmt.Sprintf("== Always-on observability: /v1/request tracing overhead, |D|=%d, k=%d ==",
-			sizes[0], k))
-		bench, err := experiments.TraceSweep(d, sizes[0], k, benchTime)
-		if err != nil {
-			return err
-		}
-		bench.Dataset = scale
-		if err := writeBench(traceBenchOut, bench); err != nil {
-			return err
-		}
-		if err := emit(experiments.TraceBenchTable(bench), func() { experiments.PrintTraceBench(os.Stdout, bench) }); err != nil {
-			return err
-		}
-		fmt.Fprintln(os.Stderr, "lbsbench:", experiments.TraceOverheadSummary(bench))
-		fmt.Fprintf(os.Stderr, "lbsbench: trace benchmark written to %s\n", traceBenchOut)
-	}
-	if want("parallel") {
-		ran = true
-		banner(fmt.Sprintf("== Sec VI-D: parallel utility loss, |D|=%d, k=%d ==", parN, k))
-		rows, err := experiments.ParallelUtility(d, parN, k, []int{1, 16, 64, 256, 1024, 2048, 4096})
-		if err != nil {
-			return err
-		}
-		if err := emit(experiments.ParallelTable(rows), func() { experiments.PrintParallel(os.Stdout, rows) }); err != nil {
-			return err
-		}
-	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q", exp)
-	}
-	if phases {
+	if o.phases {
 		if err := tracer.WritePhaseTable(os.Stderr); err != nil {
 			return err
 		}
 	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
+	if o.traceOut != "" {
+		if err := writeFile(o.traceOut, tracer.WriteChromeTrace); err != nil {
 			return err
 		}
-		if err := tracer.WriteChromeTrace(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "lbsbench: trace written to %s (open in chrome://tracing or ui.perfetto.dev)\n", traceOut)
+		fmt.Fprintf(os.Stderr, "lbsbench: trace written to %s (open in chrome://tracing or ui.perfetto.dev)\n", o.traceOut)
 	}
 	return nil
 }
 
-// writeBench writes a benchmark document as indented JSON.
-func writeBench(path string, bench any) error {
+// execute runs the planned experiments in table order and writes each
+// result in the chosen format.
+func (e *env) execute(w io.Writer) error {
+	for _, x := range e.todo {
+		if e.format == "table" {
+			fmt.Fprintf(w, "== %s ==\n", x.title)
+		}
+		tbl, err := x.run(e)
+		if err != nil {
+			return fmt.Errorf("-exp %s: %w", x.name, err)
+		}
+		if err := formats[e.format](tbl, w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeFile creates path and fills it with write, reporting the first of
+// the write and close errors.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(bench); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,30 +1,74 @@
 package main
 
 import (
-	"errors"
+	"bytes"
+	"io"
 	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"policyanon/internal/experiments"
+	"policyanon/internal/workload"
 )
 
-// The small-scale experiments are exercised through run() to keep the CLI
-// wiring covered; heavy paths run at paper scale only when invoked
-// explicitly.
+// smallOpts is a valid small-scale command line for one experiment.
+func smallOpts(exp, format string) options {
+	return options{exp: exp, scale: "small", format: format, k: 50, seed: 1,
+		workers: "1,2", benchTime: time.Millisecond}
+}
+
+// tinyEnv plans exp and swaps the scale for a 2,000-user dataset, so that
+// tests can afford every experiment. The worker sweep writes into a
+// per-test temp directory.
+func tinyEnv(t *testing.T, exp string) *env {
+	t.Helper()
+	o := smallOpts(exp, "csv")
+	o.k = 10
+	o.engines = "casper,puq"
+	o.benchOut = t.TempDir() + "/BENCH_bulkdp.json"
+	e, err := plan(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.sizing = sizing{
+		cfg:     workload.Config{MapSide: 1 << 12, Intersections: 400, UsersPerIntersection: 5, SpreadSigma: 60},
+		sizes:   []int{500, 1000, 2000},
+		servers: []int{1, 2},
+		fixedN:  1000, parallelN: 2000,
+	}
+	e.data = experiments.NewDataset(e.cfg, o.seed)
+	return e
+}
+
+// TestRunUnknownInputs pins that every flag that selects work is checked
+// by plan, which generates no dataset: at -scale paper a typo must not
+// cost 1.75M locations.
 func TestRunUnknownInputs(t *testing.T) {
-	if err := run("fig3", "nope", 10, 1, "table", "", "", false, "", "1", time.Millisecond, "", 0.5, "", "", 64, ""); err == nil {
-		t.Error("unknown scale accepted")
+	for name, edit := range map[string]func(*options){
+		"scale":      func(o *options) { o.scale = "nope" },
+		"experiment": func(o *options) { o.exp = "figZZ" },
+		"format":     func(o *options) { o.format = "xml" },
+		"engine":     func(o *options) { o.engines = "no-such-engine" },
+		"workers":    func(o *options) { o.workers = "1,zero" },
+		"no workers": func(o *options) { o.workers = "," },
+	} {
+		o := smallOpts("fig3", "table")
+		o.scale = "paper"
+		edit(&o)
+		if _, err := plan(o); err == nil {
+			t.Errorf("unknown %s accepted", name)
+		}
 	}
-	if err := run("figZZ", "small", 10, 1, "table", "", "", false, "", "1", time.Millisecond, "", 0.5, "", "", 64, ""); err == nil {
-		t.Error("unknown experiment accepted")
+	e, err := plan(smallOpts("fig3", "table"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := run("fig2", "small", 10, 1, "xml", "", "", false, "", "1", time.Millisecond, "", 0.5, "", "", 64, ""); err == nil {
-		t.Error("unknown format accepted")
+	if e.data.Master != nil {
+		t.Error("plan generated a dataset")
 	}
-	if err := run("engines", "small", 10, 1, "table", "no-such-engine", "", false, "", "1", time.Millisecond, "", 0.5, "", "", 64, ""); err == nil {
-		t.Error("unknown engine name accepted")
+	if len(e.todo) != 1 || e.todo[0].name != "fig3" {
+		t.Errorf("fig3 planned as %v", e.todo)
 	}
 }
 
@@ -44,199 +88,112 @@ func TestSweepEngines(t *testing.T) {
 	}
 }
 
+// The small-scale experiments are exercised through run() to keep the CLI
+// wiring covered; heavy paths run at paper scale only when invoked
+// explicitly.
 func TestRunSingleExperimentSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	// Redirect stdout noise away from the test log.
-	old := os.Stdout
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
+	var out bytes.Buffer
+	if err := run(smallOpts("fig3", "table"), &out); err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = devnull
-	defer func() { os.Stdout = old; devnull.Close() }()
-	if err := run("fig3", "small", 50, 1, "table", "", "", false, "", "1", time.Millisecond, "", 0.5, "", "", 64, ""); err != nil {
-		t.Fatal(err)
+	for _, want := range []string{"== Fig 3", "max_leaf_count", "50000  "} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("table output lacks %q:\n%s", want, out.String())
+		}
 	}
-	if err := run("fig2", "small", 50, 1, "csv", "", "", false, "", "1", time.Millisecond, "", 0.5, "", "", 64, ""); err != nil {
+	if err := run(smallOpts("fig2", "csv"), io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	// Tracing path: fig3 builds anonymizers, so the trace must be non-empty.
-	trace := t.TempDir() + "/trace.json"
-	if err := run("fig3", "small", 50, 1, "csv", "", trace, false, "", "1", time.Millisecond, "", 0.5, "", "", 64, ""); err != nil {
+	o := smallOpts("fig3", "csv")
+	o.traceOut = t.TempDir() + "/trace.json"
+	if err := run(o, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if st, err := os.Stat(trace); err != nil || st.Size() == 0 {
+	if st, err := os.Stat(o.traceOut); err != nil || st.Size() == 0 {
 		t.Fatalf("trace file missing or empty: %v", err)
 	}
 	// The registry sweep over the two k-inside baselines stays cheap and
 	// exercises the engines experiment end to end.
-	if err := run("engines", "small", 50, 1, "csv", "casper,puq", "", false, "", "1", time.Millisecond, "", 0.5, "", "", 64, ""); err != nil {
+	o = smallOpts("engines", "csv")
+	o.engines = "casper,puq"
+	if err := run(o, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestRunWorkersSweep runs the workers experiment end to end on a tiny
-// budget and validates the shape of the emitted BENCH_bulkdp.json. The
-// speedup gate is not asserted: a millisecond of measurement on whatever
-// CPUs `go test ./...` leaves this package is noise (0.77x was measured on
-// an idle 2-CPU box), and the gate belongs to -check-bench on a tracked
-// baseline.
+// budget and validates the emitted BENCH_bulkdp.json with -check-bench. A
+// millisecond of measurement on whatever CPUs `go test ./...` leaves this
+// package is noise (0.77x was measured on an idle 2-CPU box); -check-bench
+// reports that as a note, so the document must validate regardless.
 func TestRunWorkersSweep(t *testing.T) {
-	old := os.Stdout
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
+	o := smallOpts("workers", "csv")
+	o.benchOut = t.TempDir() + "/BENCH_bulkdp.json"
+	if err := run(o, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = devnull
-	defer func() { os.Stdout = old; devnull.Close() }()
-	out := t.TempDir() + "/BENCH_bulkdp.json"
-	if err := run("workers", "small", 50, 1, "csv", "", "", false, out, "1,2", time.Millisecond, "", 0.5, "", "", 64, ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := checkBenchFile(out); err != nil && !errors.Is(err, experiments.ErrSpeedupGate) {
+	if _, err := checkBenchFile(o.benchOut); err != nil {
 		t.Fatalf("emitted sweep fails validation: %v", err)
 	}
-	// Malformed worker lists are rejected before any measurement.
-	if err := run("workers", "small", 50, 1, "csv", "", "", false, out, "1,zero", time.Millisecond, "", 0.5, "", "", 64, ""); err == nil {
-		t.Error("malformed -workers accepted")
-	}
 }
 
-// TestRunAuditBench runs the privacy-observatory overhead benchmark end
-// to end on a tiny budget and validates the emitted BENCH_audit.json
-// through the same -check-bench gate CI uses (the overhead budget is not
-// asserted here — a millisecond measurement is all noise — only the
-// document's shape via the sniffing dispatcher).
-func TestRunAuditBench(t *testing.T) {
-	old := os.Stdout
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+// TestAllWritesNoFile pins that -exp all, the documented way to run from
+// the repo root, cannot overwrite the tracked BENCH_bulkdp.json: all is
+// every experiment that only prints a table.
+func TestAllWritesNoFile(t *testing.T) {
+	e := tinyEnv(t, "all")
+	e.benchOut = "BENCH_bulkdp.json" // the flag's default, relative to cwd
+	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = devnull
-	defer func() { os.Stdout = old; devnull.Close() }()
-	out := t.TempDir() + "/BENCH_audit.json"
-	if err := run("audit", "small", 50, 1, "csv", "", "", false, "", "1", 5*time.Millisecond, out, 0.5, "", "", 64, ""); err != nil {
+	if err := os.Chdir(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
-	_, err = checkBenchFile(out)
-	if err != nil && !strings.Contains(err.Error(), "budget") {
-		t.Fatalf("emitted audit bench fails validation: %v", err)
+	defer os.Chdir(wd)
+	if err := e.execute(io.Discard); err != nil {
+		t.Fatal(err)
 	}
-	// An out-of-range rate is rejected before any measurement.
-	if err := run("audit", "small", 50, 1, "csv", "", "", false, "", "1", time.Millisecond, out, 1.5, "", "", 64, ""); err == nil {
-		t.Error("audit rate 1.5 accepted")
+	if left, err := os.ReadDir("."); err != nil || len(left) != 0 {
+		t.Fatalf("-exp all left %v behind (err %v)", left, err)
+	}
+	if len(e.todo) != len(experimentTable)-1 {
+		t.Errorf("all planned %d of %d experiments, want every one but workers", len(e.todo), len(experimentTable))
 	}
 }
 
-// TestCheckBenchNegativeOverheadPassesWithNote exercises the noise
-// handling: a tracked document whose audited run out-ran the baseline
-// (negative overheadPct) validates, and the note flags it.
-func TestCheckBenchNegativeOverheadPassesWithNote(t *testing.T) {
-	doc := `{"bench":"audit","dataset":"small","users":500,"k":10,"engine":"bulkdp-binary",
-		"gomaxprocs":4,"numCPU":4,"cpuModel":"x","goVersion":"go1.24",
-		"off":{"mode":"off","rate":0,"requests":1000,"reqPerSec":5000,"nsPerReq":200000,"audited":0},
-		"sampled":{"mode":"sampled","rate":0.015625,"requests":990,"reqPerSec":5025,"nsPerReq":199000,"audited":15},
-		"overheadPct":-0.47,"minKAware":10,"minKUnaware":12,"breaches":0}`
-	path := t.TempDir() + "/BENCH_audit.json"
-	if err := os.WriteFile(path, []byte(doc), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	note, err := checkBenchFile(path)
-	if err != nil {
-		t.Fatalf("negative overhead failed validation: %v", err)
-	}
-	if !strings.Contains(note, "-0.47") || !strings.Contains(note, "noise") {
-		t.Fatalf("note = %q, want the raw noise value flagged", note)
-	}
-	// A positive in-budget overhead gets no note.
-	pos := strings.Replace(doc, `"overheadPct":-0.47`, `"overheadPct":1.2`, 1)
-	if err := os.WriteFile(path, []byte(pos), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if note, err := checkBenchFile(path); err != nil || note != "" {
-		t.Fatalf("positive overhead: note=%q err=%v", note, err)
-	}
-}
-
-// TestCheckAllBenchFiles validates the one-pass CI mode: every
-// BENCH_*.json in the working directory is checked, and one invalid
-// document fails the pass while the rest still report.
-func TestCheckAllBenchFiles(t *testing.T) {
-	dir := t.TempDir()
-	oldWD, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(dir); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Chdir(oldWD)
-
-	// No tracked documents at all is a failure, not a silent pass.
-	var buf strings.Builder
-	if err := checkAllBenchFiles(&buf); err == nil {
-		t.Fatal("empty directory passed -check-bench-all")
-	}
-
-	good := `{"bench":"audit","dataset":"small","users":500,"k":10,"engine":"bulkdp-binary",
-		"gomaxprocs":4,"numCPU":4,"cpuModel":"x","goVersion":"go1.24",
-		"off":{"mode":"off","rate":0,"requests":1000,"reqPerSec":5000,"nsPerReq":200000,"audited":0},
-		"sampled":{"mode":"sampled","rate":0.015625,"requests":990,"reqPerSec":4950,"nsPerReq":202000,"audited":15},
-		"overheadPct":1.0,"minKAware":10,"minKUnaware":12,"breaches":0}`
-	if err := os.WriteFile("BENCH_audit.json", []byte(good), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := checkAllBenchFiles(&buf); err != nil {
-		t.Fatalf("valid set failed: %v\n%s", err, buf.String())
-	}
-	if !strings.Contains(buf.String(), "BENCH_audit.json: valid") {
-		t.Fatalf("missing per-file report: %q", buf.String())
-	}
-
-	if err := os.WriteFile("BENCH_churn.json", []byte(`{"bench":"churn"`), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	err = checkAllBenchFiles(&buf)
-	if err == nil {
-		t.Fatal("invalid document passed -check-bench-all")
-	}
-	if !strings.Contains(buf.String(), "BENCH_churn.json: INVALID") ||
-		!strings.Contains(buf.String(), "BENCH_audit.json: valid") {
-		t.Fatalf("per-file reporting incomplete: %q", buf.String())
-	}
-	if !strings.Contains(err.Error(), "1 of 2") {
-		t.Fatalf("failure tally wrong: %v", err)
-	}
-}
-
-// TestRunServeBench runs the amortized-serving benchmark end to end on a
-// tiny budget and validates the emitted BENCH_serve.json through the
-// same -check-bench gate CI uses (the speedup floor is not asserted here
-// — a millisecond measurement is all noise — only the document's shape
-// via the sniffing dispatcher).
-func TestRunServeBench(t *testing.T) {
-	old := os.Stdout
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = devnull
-	defer func() { os.Stdout = old; devnull.Close() }()
-	out := t.TempDir() + "/BENCH_serve.json"
-	if err := run("serve", "small", 50, 1, "csv", "", "", false, "", "1", 5*time.Millisecond, "", 0.5, "", out, 16, ""); err != nil {
-		t.Fatal(err)
-	}
-	_, err = checkBenchFile(out)
-	if err != nil && !strings.Contains(err.Error(), "gate") {
-		t.Fatalf("emitted serve bench fails validation: %v", err)
-	}
-	// A degenerate batch size is rejected before any measurement.
-	if err := run("serve", "small", 50, 1, "csv", "", "", false, "", "1", time.Millisecond, "", 0.5, "", out, 1, ""); err == nil {
-		t.Error("batch size 1 accepted")
+// TestEveryExperimentEveryFormat walks the experiment table: every entry
+// is reachable by its own name, returns a rectangular non-empty table, and
+// renders in every output format.
+func TestEveryExperimentEveryFormat(t *testing.T) {
+	for _, x := range experimentTable {
+		t.Run(x.name, func(t *testing.T) {
+			e := tinyEnv(t, x.name)
+			if len(e.todo) != 1 || e.todo[0].name != x.name || x.title == "" {
+				t.Fatalf("-exp %s planned as %v (title %q)", x.name, e.todo, x.title)
+			}
+			tbl, err := x.run(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tbl.Rows) == 0 {
+				t.Fatal("no rows")
+			}
+			for _, row := range tbl.Rows {
+				if len(row) != len(tbl.Header) {
+					t.Fatalf("row %v has %d cells, header %v has %d", row, len(row), tbl.Header, len(tbl.Header))
+				}
+			}
+			for name, write := range formats {
+				var out bytes.Buffer
+				if err := write(tbl, &out); err != nil || out.Len() == 0 {
+					t.Errorf("format %s: %d bytes, err %v", name, out.Len(), err)
+				}
+			}
+		})
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -154,54 +153,66 @@ func measure(fn func(), minTime time.Duration) float64 {
 	return float64(total.Nanoseconds()) / float64(calls)
 }
 
-// Bulkdp performance gates enforced by LoadBulkDPBench. The allocation
-// gates hold on any machine (they measure the code, not the hardware);
-// the speedup gate is machine-aware — see SpeedupGateNote.
+// Bulkdp allocation gate enforced by LoadBulkDPBench, and the speedup
+// floors SpeedupGateNote reports against. Allocations measure the code and
+// hold on any machine; a speedup measures the recording machine too.
 const (
 	// bulkDPAllocBudget bounds steady-state allocs per warm pass at every
 	// worker count (and per warm computeRow). The per-worker scratch
 	// arenas make the true value 0; <1 tolerates measurement jitter.
 	bulkDPAllocBudget = 1.0
-	// bulkDPSpeedupFloor is the required speedup at 4 workers on a box
+	// bulkDPSpeedupFloor is the expected speedup at 4 workers on a box
 	// with ≥4 CPUs.
 	bulkDPSpeedupFloor = 2.0
-	// bulkDPSpeedupFloorSmall is the relaxed floor for 2–3 CPU boxes
-	// (GitHub-hosted runners are often 2-core): parallelism must at
-	// least pay for itself with visible headroom.
+	// bulkDPSpeedupFloorSmall is the floor for the best multi-worker row
+	// on 2–3 CPU boxes (GitHub-hosted runners are often 2-core):
+	// parallelism should at least pay for itself with visible headroom.
 	bulkDPSpeedupFloorSmall = 1.3
 )
 
-// SpeedupGateNote explains a skipped or relaxed speedup gate, or returns
-// "" when the full ≥2× @ 4 workers gate applied. lbsbench -check-bench
-// surfaces it so a "valid" verdict from a single-core container is never
-// mistaken for a multi-core speedup proof.
+// SpeedupGateNote says how the document's multi-worker speedup compares
+// with the floor for its recording machine: ≥2× at 4 workers with ≥4
+// CPUs, ≥1.3× at the best worker count with 2–3 CPUs, not measurable on a
+// single core. It returns "" only when the full floor was met. A missed
+// floor is a note, not an error: a sweep of a millisecond-sized DP on a
+// shared runner says as much about the runner as about the code, so
+// lbsbench -check-bench prints the note beside its "valid" verdict.
 func (b *BulkDPBench) SpeedupGateNote() string {
-	switch {
-	case b.NumCPU <= 1 || b.GOMAXPROCS <= 1:
-		return fmt.Sprintf(" (note: speedup gate skipped: recorded on a single-core box, numCPU=%d GOMAXPROCS=%d — speedups are not measurable there)",
+	if b.NumCPU <= 1 || b.GOMAXPROCS <= 1 {
+		return fmt.Sprintf(" (note: speedup floor skipped: recorded on a single-core box, numCPU=%d GOMAXPROCS=%d — speedups are not measurable there)",
 			b.NumCPU, b.GOMAXPROCS)
+	}
+	var speedup4, bestMulti float64
+	for _, row := range b.Sweep {
+		if row.Workers > 1 && row.Speedup > bestMulti {
+			bestMulti = row.Speedup
+		}
+		if row.Workers == 4 {
+			speedup4 = row.Speedup
+		}
+	}
+	switch {
+	case b.NumCPU < 4 && bestMulti < bulkDPSpeedupFloorSmall:
+		return fmt.Sprintf(" (note: best multi-worker speedup %.2fx is below the %.1fx floor for numCPU=%d — a statement about the recording machine)",
+			bestMulti, bulkDPSpeedupFloorSmall, b.NumCPU)
 	case b.NumCPU < 4:
-		return fmt.Sprintf(" (note: speedup gate relaxed to ≥%.1fx: recorded numCPU=%d < 4)",
+		return fmt.Sprintf(" (note: speedup floor relaxed to ≥%.1fx: recorded numCPU=%d < 4)",
 			bulkDPSpeedupFloorSmall, b.NumCPU)
+	case speedup4 == 0:
+		return fmt.Sprintf(" (note: speedup floor not evaluated: the sweep has no workers=4 row, numCPU=%d)", b.NumCPU)
+	case speedup4 < bulkDPSpeedupFloor:
+		return fmt.Sprintf(" (note: speedup %.2fx at 4 workers is below the %.1fx floor for numCPU=%d — a statement about the recording machine)",
+			speedup4, bulkDPSpeedupFloor, b.NumCPU)
 	}
 	return ""
 }
 
-// ErrSpeedupGate marks a BENCH_bulkdp.json document that is well formed
-// but misses the multi-worker speedup gate. The gate is a statement about
-// a recording machine and belongs to -check-bench on tracked baselines; a
-// unit test that only wants the document's shape tests for this error and
-// lets it pass, whatever the CPU count or load it runs under.
-var ErrSpeedupGate = errors.New("speedup gate")
-
 // LoadBulkDPBench decodes and validates a BENCH_bulkdp.json document; CI
-// uses it to fail on malformed or regressed benchmark output. Beyond
-// structure, it enforces the performance gates: steady-state allocations
-// below bulkDPAllocBudget at every worker count (and for a single warm
-// computeRow), and — machine-aware — the multi-worker speedup: ≥2× at 4
-// workers when the document was recorded with ≥4 CPUs, a relaxed floor
-// on 2–3 CPU boxes, skipped entirely (see SpeedupGateNote) when the
-// recording box had one CPU or GOMAXPROCS=1.
+// uses it to fail on malformed or regressed benchmark output. Every check
+// is machine-independent: no unknown fields, run and machine metadata
+// present, a workers=1 baseline row, and steady-state allocations below
+// bulkDPAllocBudget at every worker count and for a single warm
+// computeRow. The speedup is reported by SpeedupGateNote, not gated.
 func LoadBulkDPBench(r io.Reader) (*BulkDPBench, error) {
 	var b BulkDPBench
 	dec := json.NewDecoder(r)
@@ -223,8 +234,6 @@ func LoadBulkDPBench(r io.Reader) (*BulkDPBench, error) {
 			b.ComputeRowAllocs, bulkDPAllocBudget)
 	}
 	hasBaseline := false
-	var speedup4 float64
-	bestMulti := 0.0
 	for _, row := range b.Sweep {
 		if row.Workers < 1 || row.NsPerOp <= 0 || row.NodesPerSec <= 0 {
 			return nil, fmt.Errorf("experiments: BENCH_bulkdp.json sweep row invalid: %+v", row)
@@ -233,44 +242,21 @@ func LoadBulkDPBench(r io.Reader) (*BulkDPBench, error) {
 			return nil, fmt.Errorf("experiments: BENCH_bulkdp.json workers=%d allocsPerOp %.1f exceeds the zero-alloc gate (<%.0f)",
 				row.Workers, row.AllocsPerOp, bulkDPAllocBudget)
 		}
-		if row.Workers == 1 {
-			hasBaseline = true
-		} else if row.Speedup > bestMulti {
-			bestMulti = row.Speedup
-		}
-		if row.Workers == 4 {
-			speedup4 = row.Speedup
-		}
+		hasBaseline = hasBaseline || row.Workers == 1
 	}
 	if !hasBaseline {
 		return nil, fmt.Errorf("experiments: BENCH_bulkdp.json sweep lacks the workers=1 baseline row")
 	}
-	switch {
-	case b.NumCPU <= 1 || b.GOMAXPROCS <= 1:
-		// Single-core recording box: no parallel speedup is measurable;
-		// the gate is skipped and SpeedupGateNote says so.
-	case b.NumCPU < 4:
-		if bestMulti < bulkDPSpeedupFloorSmall {
-			return nil, fmt.Errorf("experiments: BENCH_bulkdp.json best multi-worker speedup %.2fx below the relaxed %.1fx gate (numCPU=%d): %w",
-				bestMulti, bulkDPSpeedupFloorSmall, b.NumCPU, ErrSpeedupGate)
-		}
-	default:
-		if speedup4 == 0 {
-			return nil, fmt.Errorf("experiments: BENCH_bulkdp.json sweep lacks the workers=4 row (numCPU=%d): %w", b.NumCPU, ErrSpeedupGate)
-		}
-		if speedup4 < bulkDPSpeedupFloor {
-			return nil, fmt.Errorf("experiments: BENCH_bulkdp.json speedup %.2fx at 4 workers below the %.1fx gate (numCPU=%d): %w",
-				speedup4, bulkDPSpeedupFloor, b.NumCPU, ErrSpeedupGate)
-		}
-	}
 	return &b, nil
 }
 
-// BulkDPBenchTable renders the sweep for the lbsbench table formats.
+// BulkDPBenchTable renders the sweep for lbsbench. computeRow's
+// steady-state allocation count is one number per document, repeated on
+// every row so each output format carries it.
 func BulkDPBenchTable(b *BulkDPBench) Table {
 	tbl := Table{
 		Name:   "bulkdp_workers",
-		Header: []string{"workers", "ns_per_op", "nodes_per_sec", "allocs_per_op", "speedup"},
+		Header: []string{"workers", "ns_per_op", "nodes_per_sec", "allocs_per_op", "speedup", "compute_row_allocs_per_op"},
 	}
 	for _, r := range b.Sweep {
 		tbl.Rows = append(tbl.Rows, []string{
@@ -279,21 +265,10 @@ func BulkDPBenchTable(b *BulkDPBench) Table {
 			fmt.Sprintf("%.0f", r.NodesPerSec),
 			fmt.Sprintf("%.1f", r.AllocsPerOp),
 			fmt.Sprintf("%.2f", r.Speedup),
+			fmt.Sprintf("%.1f", b.ComputeRowAllocs),
 		})
 	}
 	return tbl
-}
-
-// PrintBulkDPBench writes the human table plus the one-line speedup
-// summary (workers -> wall time per pass).
-func PrintBulkDPBench(w io.Writer, b *BulkDPBench) {
-	fmt.Fprintf(w, "%-8s %14s %14s %14s %8s\n", "workers", "ns/op", "nodes/sec", "allocs/op", "speedup")
-	for _, r := range b.Sweep {
-		fmt.Fprintf(w, "%-8d %14.0f %14.0f %14.1f %7.2fx\n",
-			r.Workers, r.NsPerOp, r.NodesPerSec, r.AllocsPerOp, r.Speedup)
-	}
-	fmt.Fprintf(w, "computeRow steady-state allocs/op: %.1f\n", b.ComputeRowAllocs)
-	fmt.Fprintln(w, SpeedupSummary(b))
 }
 
 // SpeedupSummary renders the one-line sweep summary, e.g.

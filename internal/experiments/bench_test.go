@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -57,62 +56,53 @@ func TestLoadBulkDPBenchRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestLoadBulkDPBenchGates exercises the machine-aware performance gates:
-// the allocation budget holds everywhere, the ≥2× @ 4 workers speedup
-// gate applies only to documents recorded on ≥4-CPU boxes, 2–3 CPU boxes
-// get the relaxed floor, and single-core boxes skip with a note.
+// TestLoadBulkDPBenchGates separates what LoadBulkDPBench rejects from
+// what SpeedupGateNote only remarks on: the allocation budget is an error
+// on any machine; a missed speedup floor (≥2× @ 4 workers with ≥4 CPUs,
+// ≥1.3× best with 2–3 CPUs) loads fine and is named in the note, as is a
+// single-core recording.
 func TestLoadBulkDPBenchGates(t *testing.T) {
-	doc := func(gmp, ncpu int, sweep string) string {
+	doc := func(ncpu int, sweep string) string {
 		return `{"dataset":"small","users":100,"k":5,"treeKind":"binary","nodes":50,
-			"gomaxprocs":` + itoa(gmp) + `,"numCPU":` + itoa(ncpu) + `,"cpuModel":"x","goVersion":"go1.23",
+			"gomaxprocs":` + itoa(ncpu) + `,"numCPU":` + itoa(ncpu) + `,"cpuModel":"x","goVersion":"go1.23",
 			"computeRowAllocsPerOp":0,"sweep":[` + sweep + `]}`
 	}
 	base := `{"workers":1,"nsPerOp":100,"nodesPerSec":5,"allocsPerOp":0,"speedup":1}`
 	fast4 := base + `,{"workers":4,"nsPerOp":40,"nodesPerSec":12,"allocsPerOp":0,"speedup":2.5}`
 	slow4 := base + `,{"workers":4,"nsPerOp":90,"nodesPerSec":6,"allocsPerOp":0,"speedup":1.1}`
 	alloc4 := base + `,{"workers":4,"nsPerOp":40,"nodesPerSec":12,"allocsPerOp":46,"speedup":2.5}`
-
-	if _, err := LoadBulkDPBench(strings.NewReader(doc(8, 8, fast4))); err != nil {
-		t.Errorf("multi-core 2.5x rejected: %v", err)
-	}
-	// Speedup failures are ErrSpeedupGate (shape-only callers let them
-	// pass); the deterministic alloc gate is not.
-	if _, err := LoadBulkDPBench(strings.NewReader(doc(8, 8, slow4))); !errors.Is(err, ErrSpeedupGate) {
-		t.Errorf("multi-core 1.1x @ 4 workers: %v, want speedup-gate failure", err)
-	}
-	if _, err := LoadBulkDPBench(strings.NewReader(doc(8, 8, alloc4))); err == nil || errors.Is(err, ErrSpeedupGate) {
-		t.Errorf("46 allocs/op: %v, want zero-alloc-gate failure", err)
-	}
-	if _, err := LoadBulkDPBench(strings.NewReader(doc(8, 8, base))); !errors.Is(err, ErrSpeedupGate) {
-		t.Errorf("multi-core doc without a workers=4 row: %v, want speedup-gate failure", err)
-	}
-	// Relaxed floor on a 2-core box: 1.4x passes, 1.1x fails.
 	relaxedOK := base + `,{"workers":2,"nsPerOp":71,"nodesPerSec":7,"allocsPerOp":0,"speedup":1.4}`
-	if _, err := LoadBulkDPBench(strings.NewReader(doc(2, 2, relaxedOK))); err != nil {
-		t.Errorf("2-core 1.4x rejected: %v", err)
+
+	for _, tc := range []struct {
+		name     string
+		ncpu     int
+		sweep    string
+		wantNote string // substring of SpeedupGateNote; "" = no note
+	}{
+		{"multi-core 2.5x", 8, fast4, ""},
+		{"multi-core 1.1x at 4 workers", 8, slow4, "1.10x at 4 workers is below the 2.0x floor"},
+		{"multi-core without a workers=4 row", 8, base, "no workers=4 row"},
+		{"2-core 1.4x", 2, relaxedOK, "relaxed to ≥1.3x"},
+		{"2-core 1.1x", 2, slow4, "1.10x is below the 1.3x floor for numCPU=2"},
+		{"single-core", 1, slow4, "skipped: recorded on a single-core box, numCPU=1"},
+	} {
+		b, err := LoadBulkDPBench(strings.NewReader(doc(tc.ncpu, tc.sweep)))
+		if err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+			continue
+		}
+		if note := b.SpeedupGateNote(); !strings.Contains(note, tc.wantNote) || (tc.wantNote == "") != (note == "") {
+			t.Errorf("%s: note = %q, want %q", tc.name, note, tc.wantNote)
+		}
 	}
-	if _, err := LoadBulkDPBench(strings.NewReader(doc(2, 2, slow4))); !errors.Is(err, ErrSpeedupGate) {
-		t.Errorf("2-core 1.1x: %v, want relaxed-gate failure", err)
+
+	// The alloc gates are errors wherever the document was recorded.
+	for _, ncpu := range []int{1, 2, 8} {
+		if _, err := LoadBulkDPBench(strings.NewReader(doc(ncpu, alloc4))); err == nil {
+			t.Errorf("numCPU=%d: 46 allocs/op accepted, want zero-alloc-gate failure", ncpu)
+		}
 	}
-	// Single-core recording box: no speedup is measurable — the gate
-	// skips regardless of the recorded ratios, and the note says so.
-	b, err := LoadBulkDPBench(strings.NewReader(doc(1, 1, slow4)))
-	if err != nil {
-		t.Fatalf("single-core doc rejected: %v", err)
-	}
-	if note := b.SpeedupGateNote(); !strings.Contains(note, "skipped") || !strings.Contains(note, "numCPU=1") {
-		t.Errorf("single-core note = %q, want skip explanation", note)
-	}
-	if b, err := LoadBulkDPBench(strings.NewReader(doc(8, 8, fast4))); err != nil || b.SpeedupGateNote() != "" {
-		t.Errorf("multi-core note = %q (err %v), want empty", b.SpeedupGateNote(), err)
-	}
-	// The alloc gates hold even where the speedup gate skips.
-	if _, err := LoadBulkDPBench(strings.NewReader(doc(1, 1, alloc4))); err == nil {
-		t.Error("single-core 46 allocs/op accepted, want zero-alloc-gate failure")
-	}
-	rowAllocs := `{"dataset":"small","users":100,"k":5,"treeKind":"binary","nodes":50,
-		"gomaxprocs":1,"numCPU":1,"cpuModel":"x","goVersion":"go1.23",
-		"computeRowAllocsPerOp":3,"sweep":[` + base + `]}`
+	rowAllocs := strings.Replace(doc(1, base), `"computeRowAllocsPerOp":0`, `"computeRowAllocsPerOp":3`, 1)
 	if _, err := LoadBulkDPBench(strings.NewReader(rowAllocs)); err == nil {
 		t.Error("computeRowAllocsPerOp=3 accepted, want zero-alloc-gate failure")
 	}

@@ -1,16 +1,15 @@
 // Package experiments contains one harness function per table and figure
 // of the paper's evaluation (Section VI), shared by cmd/lbsbench and the
 // repository's benchmark suite. Each function returns structured rows so
-// that callers can print, assert on, or benchmark them; Print* helpers
-// render the same tables the paper reports.
+// that callers can assert on or benchmark them; the *Table converters in
+// table.go turn rows into the one Table every output format is written
+// from.
 package experiments
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
-	"text/tabwriter"
 	"time"
 
 	"policyanon/internal/attacker"
@@ -312,18 +311,6 @@ func EngineSweep(d Dataset, n, k int, names []string) ([]EngineRow, error) {
 	return rows, nil
 }
 
-// PrintEngines renders the cross-engine sweep.
-func PrintEngines(w io.Writer, rows []EngineRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "engine\tpolicy-aware\tavg area\tcost\ttime\tmin aware anon\tmin unaware anon\tverified")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%t\t%.0f\t%d\t%v\t%d\t%d\t%t\n",
-			r.Name, r.PolicyAware, r.AvgArea, r.Cost,
-			r.Elapsed.Round(time.Millisecond), r.MinAware, r.MinUnaware, r.OK)
-	}
-	tw.Flush()
-}
-
 // Fig5bRow compares incremental maintenance with bulk recomputation for
 // one fraction of moving users (Figure 5(b)).
 type Fig5bRow struct {
@@ -536,18 +523,6 @@ func Hilbert(d Dataset, sizes []int, k int) ([]HilbertRow, error) {
 	return rows, nil
 }
 
-// PrintHilbert renders the comparison.
-func PrintHilbert(w io.Writer, rows []HilbertRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "|D|\toptimal tree\tHilbertCloak\tFindMBC\topt min-anon\thilbert min-anon\tfindmbc aware-anon")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%.0f\t%.0f\t%.0f\t%d\t%d\t%d\n",
-			r.N, r.OptimalAvgArea, r.HilbertAvgArea, r.FindMBCAvgArea,
-			r.OptimalMinAnon, r.HilbertMinAnon, r.FindMBCAwareAnon)
-	}
-	tw.Flush()
-}
-
 // AdaptiveRow compares the static vertical binary tree with the
 // adaptive-orientation DP (the Section V sketched variant).
 type AdaptiveRow struct {
@@ -602,18 +577,6 @@ func Adaptive(d Dataset, sizes []int, k int) ([]AdaptiveRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// PrintAdaptive renders the orientation comparison.
-func PrintAdaptive(w io.Writer, rows []AdaptiveRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "|D|\tstatic avg area\tadaptive avg area\tratio\tstatic time\tadaptive time")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%.0f\t%.0f\t%.3f\t%v\t%v\n",
-			r.N, r.StaticAvgArea, r.AdaptiveAvg, r.CostRatio,
-			r.StaticElapsed.Round(time.Millisecond), r.AdaptiveElapse.Round(time.Millisecond))
-	}
-	tw.Flush()
 }
 
 // AdaptiveTable converts the orientation comparison.
@@ -673,98 +636,4 @@ func TrajectoryErosion(d Dataset, n, k, snapshots int, target int) ([]Trajectory
 		workload.Apply(db, workload.PlanMoves(rng, db, 1.0, 400, d.Bounds.MaxX))
 	}
 	return rows, nil
-}
-
-// PrintTrajectory renders the erosion table.
-func PrintTrajectory(w io.Writer, rows []TrajectoryRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "snapshot\tper-snapshot anonymity\tcomposed anonymity")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%d\t%d\n", r.Snapshot, r.PerSnapshot, r.Composed)
-	}
-	tw.Flush()
-}
-
-// PrintUtility renders the answer-size comparison.
-func PrintUtility(w io.Writer, rows []UtilityRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "policy\tavg cloak m^2\tavg NN answer size")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%.0f\t%.2f\n", r.Policy, r.AvgCloakArea, r.AvgAnswerSize)
-	}
-	tw.Flush()
-}
-
-// PrintFig2 renders the density summary.
-func PrintFig2(w io.Writer, rows []Fig2Row) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "grid\tmax/cell\tmean/cell\tskew(max/mean)")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%dx%d\t%d\t%.1f\t%.1f\n", r.Cells, r.Cells, r.MaxUsers, r.MeanUsers, r.SkewRatio)
-	}
-	tw.Flush()
-}
-
-// PrintFig3 renders the tree-shape table.
-func PrintFig3(w io.Writer, rows []Fig3Row) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "|D|\tnodes\tleaves\tmax height\tmax leaf count\tbuild")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%v\n",
-			r.N, r.Nodes, r.Leaves, r.MaxHeight, r.MaxLeafCount, r.BuildTime.Round(time.Millisecond))
-	}
-	tw.Flush()
-}
-
-// PrintFig4a renders the bulk-anonymization-time table.
-func PrintFig4a(w io.Writer, rows []Fig4aRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "|D|\tservers\twall time\tper-server critical path\tcost")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%d\t%v\t%v\t%d\n", r.N, r.Servers,
-			r.Elapsed.Round(time.Millisecond), r.CriticalPath.Round(time.Millisecond), r.Cost)
-	}
-	tw.Flush()
-}
-
-// PrintFig4b renders the time-vs-k table.
-func PrintFig4b(w io.Writer, rows []Fig4bRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "k\ttime\tcost")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%v\t%d\n", r.K, r.Elapsed.Round(time.Millisecond), r.Cost)
-	}
-	tw.Flush()
-}
-
-// PrintFig5a renders the average-cloak-area comparison.
-func PrintFig5a(w io.Writer, rows []Fig5aRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "|D|\tCasper\tPUB\tPUQ\tpolicy-aware\tPA/Casper\tPA/PUQ")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%.0f\t%.0f\t%.0f\t%.0f\t%.2f\t%.2f\n",
-			r.N, r.Casper, r.PUB, r.PUQ, r.PolicyAware, r.RatioToCasper, r.RatioToPUQ)
-	}
-	tw.Flush()
-}
-
-// PrintFig5b renders the incremental-vs-bulk table.
-func PrintFig5b(w io.Writer, rows []Fig5bRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "moving %\tincremental\tbulk\trows recomputed")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%.1f\t%v\t%v\t%d\n",
-			r.MovePercent, r.Incremental.Round(time.Millisecond), r.Bulk.Round(time.Millisecond), r.RowsRecomputed)
-	}
-	tw.Flush()
-}
-
-// PrintParallel renders the utility-loss table.
-func PrintParallel(w io.Writer, rows []ParallelRow) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "jurisdictions\tcost\tdivergence %")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%d\t%.3f\n", r.Jurisdictions, r.Cost, r.DivergencePct)
-	}
-	tw.Flush()
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"policyanon/internal/workload"
@@ -29,11 +27,6 @@ func TestFig2(t *testing.T) {
 			t.Errorf("grid %d: max < mean", r.Cells)
 		}
 	}
-	var buf bytes.Buffer
-	PrintFig2(&buf, rows)
-	if !strings.Contains(buf.String(), "skew") {
-		t.Error("PrintFig2 output missing header")
-	}
 }
 
 func TestFig3(t *testing.T) {
@@ -56,11 +49,6 @@ func TestFig3(t *testing.T) {
 			t.Errorf("|D|=%d: implausible height %d", r.N, r.MaxHeight)
 		}
 	}
-	var buf bytes.Buffer
-	PrintFig3(&buf, rows)
-	if len(strings.Split(strings.TrimSpace(buf.String()), "\n")) != 4 {
-		t.Errorf("PrintFig3 rows wrong:\n%s", buf.String())
-	}
 }
 
 func TestFig4a(t *testing.T) {
@@ -82,11 +70,6 @@ func TestFig4a(t *testing.T) {
 			t.Errorf("|D|=%d: 4 servers cost %d below 1 server %d", rows[i].N, rows[i+1].Cost, rows[i].Cost)
 		}
 	}
-	var buf bytes.Buffer
-	PrintFig4a(&buf, rows)
-	if !strings.Contains(buf.String(), "servers") {
-		t.Error("PrintFig4a header missing")
-	}
 }
 
 func TestFig4b(t *testing.T) {
@@ -101,11 +84,6 @@ func TestFig4b(t *testing.T) {
 			t.Errorf("cost decreased from k=%d (%d) to k=%d (%d)",
 				rows[i-1].K, rows[i-1].Cost, rows[i].K, rows[i].Cost)
 		}
-	}
-	var buf bytes.Buffer
-	PrintFig4b(&buf, rows)
-	if !strings.Contains(buf.String(), "cost") {
-		t.Error("PrintFig4b header missing")
 	}
 }
 
@@ -133,11 +111,6 @@ func TestFig5a(t *testing.T) {
 			t.Errorf("|D|=%d: nonpositive policy-aware area", r.N)
 		}
 	}
-	var buf bytes.Buffer
-	PrintFig5a(&buf, rows)
-	if !strings.Contains(buf.String(), "policy-aware") {
-		t.Error("PrintFig5a header missing")
-	}
 }
 
 func TestFig5b(t *testing.T) {
@@ -152,11 +125,6 @@ func TestFig5b(t *testing.T) {
 	if rows[0].RowsRecomputed > rows[1].RowsRecomputed {
 		t.Errorf("more movement should touch at least as many rows: %d vs %d",
 			rows[0].RowsRecomputed, rows[1].RowsRecomputed)
-	}
-	var buf bytes.Buffer
-	PrintFig5b(&buf, rows)
-	if !strings.Contains(buf.String(), "incremental") {
-		t.Error("PrintFig5b header missing")
 	}
 }
 
@@ -178,11 +146,6 @@ func TestParallelUtility(t *testing.T) {
 			t.Errorf("divergence %.3f%% exceeds the paper's 1%% envelope at %d jurisdictions",
 				r.DivergencePct, r.Jurisdictions)
 		}
-	}
-	var buf bytes.Buffer
-	PrintParallel(&buf, rows)
-	if !strings.Contains(buf.String(), "divergence") {
-		t.Error("PrintParallel header missing")
 	}
 }
 
@@ -208,11 +171,6 @@ func TestAnswerSize(t *testing.T) {
 		t.Errorf("PUQ answers (%.2f) smaller than Casper answers (%.2f)",
 			byName["PUQ"].AvgAnswerSize, byName["Casper"].AvgAnswerSize)
 	}
-	var buf bytes.Buffer
-	PrintUtility(&buf, rows)
-	if !strings.Contains(buf.String(), "answer size") {
-		t.Error("PrintUtility header missing")
-	}
 }
 
 func TestHilbertExperiment(t *testing.T) {
@@ -230,11 +188,6 @@ func TestHilbertExperiment(t *testing.T) {
 	}
 	if r.OptimalAvgArea <= 0 || r.HilbertAvgArea <= 0 || r.FindMBCAvgArea <= 0 {
 		t.Fatalf("degenerate areas: %+v", r)
-	}
-	var buf bytes.Buffer
-	PrintHilbert(&buf, rows)
-	if !strings.Contains(buf.String(), "HilbertCloak") {
-		t.Error("PrintHilbert header missing")
 	}
 }
 
@@ -262,11 +215,6 @@ func TestTrajectoryErosionExperiment(t *testing.T) {
 	}
 	if rows[len(rows)-1].Composed >= rows[0].Composed {
 		t.Fatal("trajectory attack failed to erode anonymity")
-	}
-	var buf bytes.Buffer
-	PrintTrajectory(&buf, rows)
-	if !strings.Contains(buf.String(), "composed") {
-		t.Error("PrintTrajectory header missing")
 	}
 }
 
@@ -298,10 +246,5 @@ func TestAdaptiveExperiment(t *testing.T) {
 		if r.AdaptiveAvg <= 0 || r.StaticAvgArea <= 0 {
 			t.Fatalf("degenerate areas: %+v", r)
 		}
-	}
-	var buf bytes.Buffer
-	PrintAdaptive(&buf, rows)
-	if !strings.Contains(buf.String(), "ratio") {
-		t.Error("PrintAdaptive header missing")
 	}
 }

@@ -6,12 +6,13 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"text/tabwriter"
 	"time"
 )
 
-// Table is the machine-readable form of an experiment's results, used by
-// cmd/lbsbench's -format csv and -format markdown outputs so runs can be
-// archived and diffed.
+// Table is an experiment's results as strings: the one form every
+// cmd/lbsbench output format (-format table, csv, markdown) is written
+// from, so a value is formatted once and runs can be archived and diffed.
 type Table struct {
 	Name   string
 	Header []string
@@ -58,6 +59,18 @@ func (t Table) WriteMarkdown(w io.Writer) error {
 	}
 	_, err := fmt.Fprintln(w)
 	return err
+}
+
+// WriteText emits the table as aligned columns for a terminal, followed
+// by a blank line.
+func (t Table) WriteText(w io.Writer) error {
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, strings.Join(t.Header, "\t"))
+	for _, r := range t.Rows {
+		fmt.Fprintln(tw, strings.Join(r, "\t"))
+	}
+	fmt.Fprintln(tw)
+	return tw.Flush()
 }
 
 func itoa(v int) string   { return strconv.Itoa(v) }

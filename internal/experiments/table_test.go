@@ -47,6 +47,17 @@ func TestWriteMarkdown(t *testing.T) {
 	}
 }
 
+func TestWriteText(t *testing.T) {
+	var buf bytes.Buffer
+	if err := sampleTable().WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// Columns are padded to a common width; a blank line ends the table.
+	if got, want := buf.String(), "a  b\n1  x\n2  y\n\n"; got != want {
+		t.Fatalf("text = %q, want %q", got, want)
+	}
+}
+
 func TestConvertersShapeMatchesHeaders(t *testing.T) {
 	tables := []Table{
 		Fig2Table([]Fig2Row{{Cells: 8, MaxUsers: 10, MeanUsers: 2, SkewRatio: 5}}),
@@ -59,6 +70,9 @@ func TestConvertersShapeMatchesHeaders(t *testing.T) {
 		UtilityTable([]UtilityRow{{Policy: "x", AvgCloakArea: 1, AvgAnswerSize: 2}}),
 		HilbertTable([]HilbertRow{{N: 1, OptimalAvgArea: 1, HilbertAvgArea: 2, FindMBCAvgArea: 3, OptimalMinAnon: 4, HilbertMinAnon: 5, FindMBCAwareAnon: 1}}),
 		TrajectoryTable([]TrajectoryRow{{Snapshot: 0, PerSnapshot: 10, Composed: 5}}),
+		AdaptiveTable([]AdaptiveRow{{N: 1, StaticAvgArea: 2, AdaptiveAvg: 1, CostRatio: 0.5, StaticElapsed: time.Second, AdaptiveElapse: time.Second}}),
+		EnginesTable([]EngineRow{{Name: "x", PolicyAware: true, AvgArea: 1, Cost: 2, Elapsed: time.Second, MinAware: 3, MinUnaware: 4, OK: true}}),
+		BulkDPBenchTable(&BulkDPBench{Sweep: []BulkDPSweepRow{{Workers: 1, NsPerOp: 10, NodesPerSec: 5, Speedup: 1}}}),
 	}
 	for _, tbl := range tables {
 		if tbl.Name == "" {
@@ -76,6 +90,10 @@ func TestConvertersShapeMatchesHeaders(t *testing.T) {
 		buf.Reset()
 		if err := tbl.WriteMarkdown(&buf); err != nil {
 			t.Fatalf("table %s markdown: %v", tbl.Name, err)
+		}
+		buf.Reset()
+		if err := tbl.WriteText(&buf); err != nil {
+			t.Fatalf("table %s text: %v", tbl.Name, err)
 		}
 	}
 }

@@ -2,23 +2,30 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
+
+	"policyanon/internal/audit"
+	"policyanon/internal/ledger"
 )
 
 // benchRequest drives POST /v1/request through the handler directly
-// (no network round trip), isolating the server-side cost of the
-// always-on tracing layer. The Off/On pair below is the measurement
-// behind the BENCH_trace.json overhead gate: their ns/op delta is the
-// per-request price of capture + root span + tail decision.
-func benchRequest(b *testing.B, tracing bool) {
+// (no network round trip), isolating the server-side cost of one layer
+// that configure switches. The TracingOff/On pair's ns/op delta is the
+// per-request price of capture + root span + tail decision (the
+// repository benchmark reports the same pair from outside as
+// obs.request_tracing_pct); BenchmarkRequestAudit does the same for the
+// privacy observatory and its ledger.
+func benchRequest(b *testing.B, configure func(*Server)) {
 	srv := New()
 	ts := httptest.NewServer(srv.Handler())
 	b.Cleanup(ts.Close)
 	installBenchSnapshot(b, ts.URL)
-	srv.SetRequestTracing(tracing)
+	configure(srv)
 	h := srv.Handler()
 	x, y := seedLoc(7)
 	body, _ := json.Marshal(ServiceRequestJSON{User: "u7", X: x, Y: y})
@@ -55,5 +62,45 @@ func installBenchSnapshot(b *testing.B, base string) {
 	resp.Body.Close()
 }
 
-func BenchmarkRequestTracingOff(b *testing.B) { benchRequest(b, false) }
-func BenchmarkRequestTracingOn(b *testing.B)  { benchRequest(b, true) }
+func BenchmarkRequestTracingOff(b *testing.B) {
+	benchRequest(b, func(s *Server) { s.SetRequestTracing(false) })
+}
+
+func BenchmarkRequestTracingOn(b *testing.B) {
+	benchRequest(b, func(s *Server) { s.SetRequestTracing(true) })
+}
+
+// BenchmarkRequestAudit prices the request-path audit: sampling off, at
+// the default rate, and at the default rate with every audited event also
+// appended to a tamper-evident ledger anchored to a real file (sealing and
+// its fsync are asynchronous; the request pays one hash + append).
+func BenchmarkRequestAudit(b *testing.B) {
+	b.Run("off", func(b *testing.B) {
+		benchRequest(b, func(s *Server) { s.SetAuditRate(0) })
+	})
+	b.Run("sampled", func(b *testing.B) {
+		benchRequest(b, func(s *Server) { s.SetAuditRate(audit.DefaultRate) })
+	})
+	b.Run("ledgered", func(b *testing.B) {
+		benchRequest(b, func(s *Server) {
+			anchor, err := ledger.OpenFileAnchor(filepath.Join(b.TempDir(), "audit.ledger"), s.Metrics(), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			led, err := ledger.New(anchor, ledger.Options{Registry: s.Metrics()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() {
+				if err := led.Close(context.Background()); err != nil {
+					b.Error(err)
+				}
+				if err := anchor.Close(); err != nil {
+					b.Error(err)
+				}
+			})
+			s.SetAuditRate(audit.DefaultRate)
+			s.EnableLedger(led)
+		})
+	})
+}
