@@ -126,13 +126,15 @@ func Load(r io.Reader) (*State, error) {
 	if p.K < 1 {
 		return nil, fmt.Errorf("%w: k=%d", ErrUnsafe, p.K)
 	}
-	db := location.New(len(p.Users))
+	recs := make([]location.Record, len(p.Users))
 	cloaks := make([]geo.Rect, len(p.Users))
 	for i, u := range p.Users {
-		if err := db.Add(u.ID, u.Loc); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
+		recs[i] = location.Record{UserID: u.ID, Loc: u.Loc}
 		cloaks[i] = u.Cloak
+	}
+	db, err := location.FromRecords(recs)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	policy, err := lbs.NewAssignment(db, cloaks)
 	if err != nil {

@@ -67,13 +67,15 @@ func (cs *combineScratch) ensureFold(n int) {
 // ensurePass pre-sizes every buffer computeRow can touch, for scratches
 // owned by DP pool workers. Work stealing hands a worker different nodes
 // on every pass, so lazy growth inside computeRow would otherwise ratchet
-// capacity (and allocate) indefinitely across warm passes. Every buffer's
-// per-combine high-water mark is bounded by the fold length |D|+1: rows
-// hold at most bound(m)+1 ≤ foldLen entries, profiles and the suffix
-// buffers at most one more.
-func (cs *combineScratch) ensurePass(foldLen int) {
+// capacity (and allocate) indefinitely across warm passes. Only fold is
+// indexed by the pass-up total j and so needs the fold length |D|+1; the
+// other buffers hold one profile (or its suffix minima, one entry more)
+// and are sized by profileLen, the longest profile any node of the tree
+// can produce (Matrix.profileBound). The lazy growth in the combine stays
+// as the safety net.
+func (cs *combineScratch) ensurePass(foldLen, profileLen int) {
 	cs.ensureFold(foldLen)
-	n := foldLen + 2
+	n := profileLen + 1
 	if cap(cs.touched) < n {
 		cs.touched = make([]int32, 0, n)
 	}

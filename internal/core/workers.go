@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -218,11 +219,6 @@ func (m *Matrix) computeAllParallel(nw int) []workerStats {
 	p.pending = growInt32(p.pending, nodeCap)
 	p.wsub = growInt64(p.wsub, nodeCap)
 	p.size = growInt32(p.size, nodeCap)
-	foldLen := m.t.Len() + 1
-	for _, cs := range p.scratch {
-		cs.ensurePass(foldLen)
-	}
-
 	// One DFS records the preorder and, walking it backwards (children
 	// before parents), the per-node subtree weights and sizes the cutoff
 	// partition needs. No closures: the buffers persist on the pool.
@@ -242,6 +238,7 @@ func (m *Matrix) computeAllParallel(nw int) []workerStats {
 	if total == 0 {
 		return nil
 	}
+	profileLen := 0
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
 		children := m.t.Children(id)
@@ -253,6 +250,12 @@ func (m *Matrix) computeAllParallel(nw int) []workerStats {
 		}
 		p.wsub[id] = w
 		p.size[id] = sz
+		if n := m.profileBound(id, children); n > profileLen {
+			profileLen = n
+		}
+	}
+	for _, cs := range p.scratch {
+		cs.ensurePass(m.t.Len()+1, profileLen)
 	}
 
 	// Auto-tune the sequential cutoff (unless pinned by Options) and
@@ -270,18 +273,31 @@ func (m *Matrix) computeAllParallel(nw int) []workerStats {
 	p.cutoff = cutoff
 	tasks := int64(0)
 	next := 0
+	sealed := 0 // nodes in the largest sealed subtree
 	for i := 0; i < len(order); {
 		id := order[i]
 		if p.wsub[id] <= cutoff || m.t.IsLeaf(id) {
 			p.workers[next%nw].push(id)
 			next++
 			tasks++
+			sealed = max(sealed, int(p.size[id]))
 			i += int(p.size[id])
 		} else {
 			p.pending[id] = int32(len(m.t.Children(id)))
 			tasks++ // the split node's own combine is a task too
 			i++
 		}
+	}
+	// Which worker runs which task is up to the schedule, so size every
+	// worker's buffers for the worst one: any sealed subtree to traverse,
+	// every task on one deque. Like the combine scratch, they would
+	// otherwise grow on whichever warm pass first deals a worker a bigger
+	// hand.
+	for i := 0; i < nw; i++ {
+		p.stk[i] = slices.Grow(p.stk[i][:0], sealed)
+		p.ord[i] = slices.Grow(p.ord[i][:0], sealed)
+		q := p.workers[i].q
+		p.workers[i].q = slices.Grow(q, int(tasks)-len(q))
 	}
 
 	for i := range p.stats {
@@ -308,6 +324,28 @@ func (m *Matrix) nodeWeight(id tree.NodeID, nchildren int) int64 {
 		w *= int64(nchildren)
 	}
 	return w
+}
+
+// profileBound bounds the length of every temp profile the combine at
+// node id builds. A child row is a dense range of len(costs) = bound+1
+// pass-up counts plus the spike at d(c), so a sum over the children is a
+// choice of which of them spike (2^n ways) plus a dense total over the
+// rest, at most 1 + Σ bound(c) values per choice — and never more than
+// the d(id)+1 distinct totals there are. Under Lemma 5 the row bound is
+// (k+1)·h(m), so this is O(k·h) where the fold length is |D|+1.
+func (m *Matrix) profileBound(id tree.NodeID, children []tree.NodeID) int {
+	if len(children) == 0 {
+		return 0
+	}
+	dense := 2
+	for _, c := range children {
+		dense += int(m.bound(c)) + 1
+	}
+	n := dense << (len(children) - 1)
+	if d := m.t.Count(id) + 1; d < n {
+		n = d
+	}
+	return n
 }
 
 // runPass is one worker's participation in one pass: drain tasks —

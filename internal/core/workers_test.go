@@ -202,23 +202,84 @@ func TestRecomputeAfterMoves(t *testing.T) {
 // TestParallelZeroAllocs is the regression test for the persistent worker
 // pool: once the pool, its per-worker scratch arenas, and row storage are
 // warm, a full parallel Recompute must not allocate at any worker count —
-// the BENCH_bulkdp.json gate asserts the same property end to end.
+// the BENCH_bulkdp.json gate asserts the same property end to end. The
+// arenas are sized by the tree's longest profile, not by |D|, so the
+// property is pinned on both tree kinds and without Lemma 5's pruning.
 func TestParallelZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	rng := rand.New(rand.NewSource(13))
 	pts := randPts(rng, 2000, 1<<11)
-	tr := buildTree(t, pts, 1<<11, tree.Binary, 5)
-	for _, nw := range []int{1, 2, 4, 8} {
-		m, err := NewMatrix(tr, 5, Options{Workers: nw})
-		if err != nil {
-			t.Fatal(err)
+	for _, kind := range []tree.Kind{tree.Binary, tree.Quad} {
+		tr := buildTree(t, pts, 1<<11, kind, 5)
+		for _, noPrune := range []bool{false, true} {
+			for _, nw := range []int{1, 2, 4, 8} {
+				m, err := NewMatrix(tr, 5, Options{Workers: nw, NoPrune: noPrune})
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.Recompute() // warm pool, deques, arenas
+				allocs := testing.AllocsPerRun(5, m.Recompute)
+				if allocs != 0 {
+					t.Errorf("%v noPrune=%v workers=%d: steady-state Recompute allocates %.1f/op, want 0",
+						kind, noPrune, nw, allocs)
+				}
+			}
 		}
-		m.Recompute() // warm pool, deques, arenas
-		allocs := testing.AllocsPerRun(5, m.Recompute)
-		if allocs != 0 {
-			t.Errorf("workers=%d: steady-state Recompute allocates %.1f/op, want 0", nw, allocs)
+	}
+}
+
+// TestScratchSizedByProfileBound pins the worker-scratch sizing: no
+// combine of the tree builds a profile longer than profileBound says, so
+// after a cold parallel pass every profile arena still has the capacity
+// ensurePass gave it (the lazy growth never fired), and with Lemma 5's
+// pruning that capacity is far below the |D|+1 only fold needs.
+func TestScratchSizedByProfileBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	pts := randPts(rng, 3000, 1<<11)
+	for _, kind := range []tree.Kind{tree.Binary, tree.Quad} {
+		tr := buildTree(t, pts, 1<<11, kind, 5)
+		for _, noPrune := range []bool{false, true} {
+			m, err := NewMatrix(tr, 5, Options{Workers: 4, NoPrune: noPrune})
+			if err != nil {
+				t.Fatal(err)
+			}
+			longest := 0
+			tr.PostOrder(func(id tree.NodeID) {
+				children := tr.Children(id)
+				if len(children) == 0 {
+					return
+				}
+				bound := m.profileBound(id, children)
+				var prefixes []profile
+				m.fold(m.cs, children, &prefixes)
+				for _, p := range prefixes {
+					if len(p.js) > bound {
+						t.Fatalf("%v noPrune=%v node %d: profile of %d entries, bound %d",
+							kind, noPrune, id, len(p.js), bound)
+					}
+				}
+				longest = max(longest, bound)
+			})
+			for w, cs := range m.dp.scratch {
+				for name, got := range map[string]int{
+					"touched": cap(cs.touched), "jsA": cap(cs.jsA), "jsB": cap(cs.jsB),
+					"costsA": cap(cs.costsA), "costsB": cap(cs.costsB),
+					"sfx": cap(cs.sfx), "sfxJ": cap(cs.sfxJ),
+				} {
+					if got != longest+1 {
+						t.Errorf("%v noPrune=%v worker %d: cap(%s) = %d, want %d",
+							kind, noPrune, w, name, got, longest+1)
+					}
+				}
+				if len(cs.fold) != tr.Len()+1 {
+					t.Errorf("worker %d: fold covers %d entries, want %d", w, len(cs.fold), tr.Len()+1)
+				}
+			}
+			if !noPrune && longest >= tr.Len()/2 {
+				t.Errorf("%v: pruned profile bound %d is not small against |D| = %d", kind, longest, tr.Len())
+			}
 		}
 	}
 }

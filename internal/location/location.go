@@ -68,12 +68,23 @@ func New(n int) *DB {
 	return &DB{records: make([]Record, 0, n), byUser: make(map[string]int, n)}
 }
 
-// FromRecords builds a snapshot from recs. It fails on duplicate user ids.
+// FromRecords builds a snapshot from recs in one pass: the records are
+// copied once (the snapshot never aliases the caller's slice), the user
+// index is sized once, and each id costs a single map insert — a
+// duplicate shows as an insert that did not grow the map. It fails on
+// duplicate user ids, and leaves Version where New followed by one Add
+// per record would.
 func FromRecords(recs []Record) (*DB, error) {
-	db := New(len(recs))
-	for _, r := range recs {
-		if err := db.Add(r.UserID, r.Loc); err != nil {
-			return nil, fmt.Errorf("record %q: %w", r.UserID, err)
+	db := &DB{
+		records: append(make([]Record, 0, len(recs)), recs...),
+		byUser:  make(map[string]int, len(recs)),
+		version: uint64(len(recs)),
+	}
+	for i := range db.records {
+		id := db.records[i].UserID
+		db.byUser[id] = i
+		if len(db.byUser) != i+1 {
+			return nil, fmt.Errorf("record %q: %w: %q", id, ErrDuplicateUser, id)
 		}
 	}
 	return db, nil

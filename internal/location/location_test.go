@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -254,4 +255,63 @@ func itoa(i int) string {
 		i /= 10
 	}
 	return string(b)
+}
+
+// TestFromRecordsMatchesNewAdd holds the bulk constructor to the
+// incremental one: same records, index, lookups, length and version.
+func TestFromRecordsMatchesNewAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 129, 1000} {
+		recs := make([]Record, n)
+		want := New(0)
+		for i := range recs {
+			recs[i] = Record{UserID: "u" + itoa(i), Loc: geo.Point{X: rng.Int31n(100), Y: rng.Int31n(100)}}
+			if err := want.Add(recs[i].UserID, recs[i].Loc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := FromRecords(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != want.Len() || got.Version() != want.Version() {
+			t.Fatalf("n=%d: len %d version %d, want %d and %d", n, got.Len(), got.Version(), want.Len(), want.Version())
+		}
+		if !reflect.DeepEqual(got.Records(), want.Records()) {
+			t.Fatalf("n=%d: records differ", n)
+		}
+		for i, r := range recs {
+			if got.Index(r.UserID) != i {
+				t.Fatalf("Index(%q) = %d, want %d", r.UserID, got.Index(r.UserID), i)
+			}
+			if loc, err := got.Lookup(r.UserID); err != nil || loc != r.Loc {
+				t.Fatalf("Lookup(%q) = %v, %v", r.UserID, loc, err)
+			}
+		}
+		if got.Index("nobody") != -1 {
+			t.Fatal("absent user has an index")
+		}
+		// The snapshot owns its records: neither the caller's later writes
+		// nor its own mutation reach the other.
+		if n > 0 {
+			recs[0].Loc = geo.Point{X: -1, Y: -1}
+			if got.At(0).Loc == recs[0].Loc {
+				t.Fatal("snapshot aliases the caller's slice")
+			}
+			got.MoveAt(n-1, geo.Point{X: -2, Y: -2})
+			if recs[n-1].Loc == got.At(n-1).Loc {
+				t.Fatal("mutating the snapshot wrote through to the caller's slice")
+			}
+		}
+		if err := got.Add("late", geo.Point{}); err != nil || got.Index("late") != n {
+			t.Fatalf("n=%d: Add after FromRecords: index %d, err %v", n, got.Index("late"), err)
+		}
+	}
+}
+
+func TestFromRecordsRejectsDuplicates(t *testing.T) {
+	_, err := FromRecords([]Record{{UserID: "a"}, {UserID: "b"}, {UserID: "a"}, {UserID: "b"}})
+	if !errors.Is(err, ErrDuplicateUser) || !strings.Contains(err.Error(), `"a"`) || strings.Contains(err.Error(), `"b"`) {
+		t.Fatalf("err = %v, want ErrDuplicateUser naming the first repeated id \"a\"", err)
+	}
 }

@@ -517,8 +517,18 @@ func rectJSON(r geo.Rect) RectJSON {
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	var req SnapshotRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, err := readBody(w, r, maxSnapshotBody)
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, fmt.Errorf("read body: %w", err))
+		return
+	}
+	req, users, err := decodeSnapshot(body)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
 		return
 	}
@@ -543,12 +553,10 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info, _ := engine.InfoOf(name)
-	db := location.New(len(req.Users))
-	for _, u := range req.Users {
-		if err := db.Add(u.ID, geo.Point{X: u.X, Y: u.Y}); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
+	db, err := location.FromRecords(users)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
 	}
 	bounds := geo.NewRect(0, 0, req.MapSide, req.MapSide)
 	// Incremental engines run through the core anonymizer directly so the

@@ -161,7 +161,7 @@ func Build(points []geo.Point, bounds geo.Rect, opt Options) (*Tree, error) {
 		idx[i] = int32(i)
 	}
 	root := t.alloc(bounds, None, 0)
-	t.bulk(root, idx)
+	t.bulk(root, idx, make([]int32, len(idx)))
 	return t, nil
 }
 
@@ -180,62 +180,95 @@ func (t *Tree) alloc(r geo.Rect, parent NodeID, height int32) NodeID {
 	return NodeID(len(t.nodes) - 1)
 }
 
-// childRects returns the child rectangles of r under the tree's kind, and
-// whether r is splittable at all.
-func (t *Tree) childRects(r geo.Rect) ([]geo.Rect, bool) {
+// childRects returns the child rectangles of r under the tree's kind and
+// how many there are; zero means r is not splittable at all.
+func (t *Tree) childRects(r geo.Rect) (rects [MaxChildren]geo.Rect, n int) {
 	if t.kind == Quad {
 		if r.Width() < 2 || r.Height() < 2 {
-			return nil, false
+			return rects, 0
 		}
-		q := r.Quadrants()
-		return q[:], true
+		return r.Quadrants(), 4
 	}
 	// Binary: split the longer dimension; a square splits vertically into
 	// semi-quadrants, a semi-quadrant splits horizontally into squares.
 	if r.Height() > r.Width() {
 		if r.Height() < 2 {
-			return nil, false
+			return rects, 0
 		}
-		return []geo.Rect{r.SouthHalf(), r.NorthHalf()}, true
+		rects[0], rects[1] = r.SouthHalf(), r.NorthHalf()
+		return rects, 2
 	}
 	if r.Width() < 2 {
-		return nil, false
+		return rects, 0
 	}
-	return []geo.Rect{r.WestHalf(), r.EastHalf()}, true
+	rects[0], rects[1] = r.WestHalf(), r.EastHalf()
+	return rects, 2
 }
 
-// bulk recursively builds the subtree at id over the given point indices.
-func (t *Tree) bulk(id NodeID, idx []int32) {
+// bulk builds the subtree at id over the point indices idx, reordering
+// them in place so that every node of the subtree owns one contiguous
+// range of idx: a split is a stable partition about the split line(s),
+// against the scratch tmp (at least as long as idx). Stability keeps each
+// range in ascending point order, the canonical leaf order. A leaf takes
+// its range as a capacity-limited subslice, so a later insertSorted that
+// outgrows the range reallocates instead of writing into the neighbouring
+// leaf. Children are allocated and built in child order, depth first,
+// which fixes the NodeID numbering.
+func (t *Tree) bulk(id NodeID, idx, tmp []int32) {
 	t.nodes[id].count = int32(len(idx))
 	if !t.shouldSplit(id) {
-		t.nodes[id].pts = append(t.nodes[id].pts[:0], idx...)
+		t.nodes[id].pts = idx[:len(idx):len(idx)]
 		for _, p := range idx {
 			t.leafOf[p] = id
 		}
 		return
 	}
-	rects, _ := t.childRects(t.nodes[id].rect)
-	groups := make([][]int32, len(rects))
-	for _, p := range idx {
-		placed := false
-		for ci, cr := range rects {
-			if cr.Contains(t.loc[p]) {
-				groups[ci] = append(groups[ci], p)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			// Cannot happen: children partition the parent.
-			panic(fmt.Sprintf("tree: point %v not in any child of %v", t.loc[p], t.nodes[id].rect))
-		}
+	r := t.nodes[id].rect
+	rects, n := t.childRects(r)
+	c := r.Center()
+	// Child ci owns idx[cut[ci]:cut[ci+1]].
+	var cut [MaxChildren + 1]int
+	switch {
+	case t.kind == Quad:
+		// South | north, then each half west | east: SW, SE, NW, NE.
+		cut[2] = t.partition(idx, tmp, true, c.Y)
+		cut[1] = t.partition(idx[:cut[2]], tmp, false, c.X)
+		cut[3] = cut[2] + t.partition(idx[cut[2]:], tmp, false, c.X)
+	case r.Height() > r.Width():
+		cut[1] = t.partition(idx, tmp, true, c.Y)
+	default:
+		cut[1] = t.partition(idx, tmp, false, c.X)
 	}
-	t.nodes[id].nchild = int8(len(rects))
-	for ci, cr := range rects {
-		cid := t.alloc(cr, id, t.nodes[id].height+1)
+	cut[n] = len(idx)
+	t.nodes[id].nchild = int8(n)
+	for ci := 0; ci < n; ci++ {
+		cid := t.alloc(rects[ci], id, t.nodes[id].height+1)
 		t.nodes[id].children[ci] = cid
-		t.bulk(cid, groups[ci])
+		lo, hi := cut[ci], cut[ci+1]
+		t.bulk(cid, idx[lo:hi], tmp[lo:hi])
 	}
+}
+
+// partition stably reorders idx so that the points whose x (or y, when
+// byY) coordinate lies below mid come first, and returns how many do.
+// tmp holds the upper group while the lower one compacts in place.
+func (t *Tree) partition(idx, tmp []int32, byY bool, mid int32) int {
+	lo, hi := 0, 0
+	for _, p := range idx {
+		v := t.loc[p].X
+		if byY {
+			v = t.loc[p].Y
+		}
+		if v < mid {
+			idx[lo] = p
+			lo++
+		} else {
+			tmp[hi] = p
+			hi++
+		}
+	}
+	copy(idx[lo:], tmp[:hi])
+	return lo
 }
 
 // shouldSplit implements the canonical materialization rule.
@@ -244,8 +277,8 @@ func (t *Tree) shouldSplit(id NodeID) bool {
 	if int(n.count) < t.minSplit || int(n.height) >= t.maxDepth {
 		return false
 	}
-	_, ok := t.childRects(n.rect)
-	return ok
+	_, nc := t.childRects(n.rect)
+	return nc > 0
 }
 
 // Kind returns the splitting discipline of the tree.
@@ -425,7 +458,7 @@ func (t *Tree) resplit(id NodeID) {
 	}
 	pts := t.nodes[id].pts
 	t.nodes[id].pts = nil
-	t.bulk(id, pts)
+	t.bulk(id, pts, make([]int32, len(pts)))
 	t.markSubtreeDirty(id)
 }
 
