@@ -374,14 +374,26 @@ func (a *Auditor) ObserveRequest(ctx context.Context, engineName string, pol *lb
 	return s
 }
 
-// MaybeObserveRequest is the serving-path entry point: it audits the
-// request only when the sampler selects it, and reports whether it did.
-func (a *Auditor) MaybeObserveRequest(ctx context.Context, engineName string, pol *lbs.Assignment, cloak geo.Rect, k int) (RequestSample, bool) {
+// SampleRequest reports whether the sampler selects the next served
+// request for an audit, counting the ones it skips. A caller that must
+// prepare something for ObserveRequest only when the request is audited
+// (the batch handler builds the item's context then) asks first;
+// everyone else calls MaybeObserveRequest.
+func (a *Auditor) SampleRequest() bool {
 	a.mu.Lock()
 	sampler := a.sampler
 	a.mu.Unlock()
 	if !sampler.Sample() {
 		a.skipped.Add(1)
+		return false
+	}
+	return true
+}
+
+// MaybeObserveRequest is the serving-path entry point: it audits the
+// request only when the sampler selects it, and reports whether it did.
+func (a *Auditor) MaybeObserveRequest(ctx context.Context, engineName string, pol *lbs.Assignment, cloak geo.Rect, k int) (RequestSample, bool) {
+	if !a.SampleRequest() {
 		return RequestSample{}, false
 	}
 	return a.ObserveRequest(ctx, engineName, pol, cloak, k), true

@@ -567,7 +567,8 @@ type ServeResult struct {
 }
 
 // serviceRequestJSON and batchItemJSON mirror the server's batch wire
-// format (server.ServiceRequestJSON / server.BatchItemJSON).
+// format (server.ServiceRequestJSON in, the items of internal/server's
+// appendItem out).
 type serviceRequestJSON struct {
 	User   string      `json:"user"`
 	X      int32       `json:"x"`

@@ -1,6 +1,7 @@
 package lbs
 
 import (
+	"context"
 	"strconv"
 	"sync"
 	"testing"
@@ -175,19 +176,86 @@ func TestCacheBound(t *testing.T) {
 // rotations.
 func TestCachePromotion(t *testing.T) {
 	var sh cspShard
-	sh.cur, sh.prev = make(map[cacheKey][]POI), make(map[cacheKey][]POI)
+	sh.cur, sh.prev = make(map[cacheKey]*cacheEntry), make(map[cacheKey]*cacheEntry)
 	key := func(i int) cacheKey { return cacheKey{params: strconv.Itoa(i)} }
 	hot := key(-1)
-	sh.insert(hot, []POI{{ID: "hot"}})
+	sh.insert(hot, &cacheEntry{answer: []POI{{ID: "hot"}}})
 	for i := 0; i < 5*cacheGenCap; i++ {
-		sh.insert(key(i), nil)
+		sh.insert(key(i), &cacheEntry{})
 		if i%(cacheGenCap/2) == 0 {
-			if _, ok := sh.lookup(hot); !ok {
+			if sh.lookup(hot) == nil {
 				t.Fatalf("hot key evicted after %d inserts although asked every half generation", i+1)
 			}
 		}
 	}
-	if _, ok := sh.lookup(key(0)); ok {
+	if sh.lookup(key(0)) != nil {
 		t.Fatal("a cold key survived four rotations")
 	}
+}
+
+// TestCacheRenderedFollowsEntry: ServeRendered renders an answer on the
+// entry's first hit — not when a miss fills it, which is where a
+// never-repeated key would pay for bytes nobody reads — hands every later
+// hit those same bytes, and lets them go with the entry: promotion keeps
+// them, eviction and FlushCache drop them.
+func TestCacheRenderedFollowsEntry(t *testing.T) {
+	csp, _ := echoFixture(t)
+	ctx := context.Background()
+	renders := 0
+	render := func(answer []POI) []byte {
+		renders++
+		return []byte("rendered " + answer[0].ID)
+	}
+	alice := ServiceRequest{UserID: "Alice", Loc: geo.Point{X: 1, Y: 1}, Params: []Param{{Name: "cat", Value: "gas"}}}
+	const want = "rendered <cat|gas>"
+	serve := func(when string, wantRendered bool, wantRenders int) []byte {
+		t.Helper()
+		_, answer, rendered, err := csp.ServeRendered(ctx, alice, render)
+		if err != nil || len(answer) != 1 {
+			t.Fatalf("%s: answer %v, err %v", when, answer, err)
+		}
+		if wantRendered != (rendered != nil) || (rendered != nil && string(rendered) != want) {
+			t.Fatalf("%s: rendered %q, want one: %v", when, rendered, wantRendered)
+		}
+		if renders != wantRenders {
+			t.Fatalf("%s: %d renderings so far, want %d", when, renders, wantRenders)
+		}
+		return rendered
+	}
+	// churn pushes n other keys through the cache, untraced and unrendered.
+	serial := 0
+	churn := func(n int) {
+		t.Helper()
+		other := alice
+		for ; n > 0; n-- {
+			serial++
+			other.Params = []Param{{Name: "range", Value: strconv.Itoa(serial)}}
+			if _, _, err := csp.Serve(other); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	serve("miss", false, 0)
+	first := serve("first hit", true, 1)
+	if again := serve("repeat hit", true, 1); &again[0] != &first[0] {
+		t.Fatal("a repeat hit returned a copy, not the entry's rendering")
+	}
+	if _, _, err := csp.ServeContext(ctx, alice); err != nil || renders != 1 {
+		t.Fatalf("an unrendered hit: err %v, %d renderings", err, renders)
+	}
+
+	// Half a cache of other keys: the entry is still resident, in its
+	// shard's current or previous generation, and keeps its rendering.
+	const resident = 2 * cacheShards * cacheGenCap
+	churn(resident / 2)
+	serve("hit after half a cache of other keys", true, 1)
+	// Two caches of them: evicted, and the rendering with it.
+	churn(2 * resident)
+	serve("miss after eviction", false, 1)
+	serve("first hit after eviction", true, 2)
+
+	csp.FlushCache()
+	serve("miss after FlushCache", false, 2)
+	serve("first hit after FlushCache", true, 3)
 }

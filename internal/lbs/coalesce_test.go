@@ -1,6 +1,7 @@
 package lbs
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -321,4 +322,30 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	if hits+misses+coalesced != total {
 		t.Fatalf("hits(%d)+misses(%d)+coalesced(%d) != %d requests", hits, misses, coalesced, total)
 	}
+}
+
+// TestConcurrentFirstHitsRenderTheSame: goroutines hitting one entry
+// before it has a rendering may each render it; every one of them, and
+// every hit after, gets the same bytes. Run with -race.
+func TestConcurrentFirstHitsRenderTheSame(t *testing.T) {
+	csp, _ := echoFixture(t)
+	alice := ServiceRequest{UserID: "Alice", Loc: geo.Point{X: 1, Y: 1}, Params: []Param{{Name: "cat", Value: "gas"}}}
+	if _, _, err := csp.Serve(alice); err != nil { // the miss that fills the entry
+		t.Fatal(err)
+	}
+	render := func(answer []POI) []byte { return []byte("rendered " + answer[0].ID) }
+	var wg sync.WaitGroup
+	for i := 0; i < 32; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 20; j++ {
+				_, _, rendered, err := csp.ServeRendered(context.Background(), alice, render)
+				if err != nil || string(rendered) != "rendered <cat|gas>" {
+					t.Errorf("rendered %q, err %v", rendered, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -171,7 +171,7 @@ const cacheGenCap = 1024
 // per-entry bookkeeping. The counters do not depend on residency.
 type cspShard struct {
 	mu        sync.Mutex
-	cur, prev map[cacheKey][]POI
+	cur, prev map[cacheKey]*cacheEntry
 	flight    map[flightKey]*flight
 	hits      int64
 	misses    int64
@@ -179,27 +179,36 @@ type cspShard struct {
 	coalesced int64 // callers who piggybacked on another's lookup
 }
 
-// lookup returns the cached answer for key, promoting it from the previous
-// generation. Callers hold sh.mu.
-func (sh *cspShard) lookup(key cacheKey) ([]POI, bool) {
-	if answer, ok := sh.cur[key]; ok {
-		return answer, true
-	}
-	answer, ok := sh.prev[key]
-	if ok {
-		sh.insert(key, answer)
-	}
-	return answer, ok
+// cacheEntry is one cached answer and, once a hit has asked for it, the
+// answer as its caller put it on the wire (ServeRendered). The rendering
+// is a function of the answer alone, so it needs no invalidation of its
+// own: it is evicted, flushed and replaced with the entry.
+type cacheEntry struct {
+	answer   []POI
+	rendered []byte // guarded by the shard's mu; nil until the entry's first rendered hit
 }
 
-// insert caches answer under key, rotating the generations when the
-// current one is full. Callers hold sh.mu.
-func (sh *cspShard) insert(key cacheKey, answer []POI) {
+// lookup returns the cached entry for key, promoting it from the previous
+// generation, or nil. Callers hold sh.mu.
+func (sh *cspShard) lookup(key cacheKey) *cacheEntry {
+	if e, ok := sh.cur[key]; ok {
+		return e
+	}
+	e, ok := sh.prev[key]
+	if ok {
+		sh.insert(key, e)
+	}
+	return e
+}
+
+// insert caches e under key, rotating the generations when the current
+// one is full. Callers hold sh.mu.
+func (sh *cspShard) insert(key cacheKey, e *cacheEntry) {
 	if len(sh.cur) >= cacheGenCap {
 		sh.cur, sh.prev = sh.prev, sh.cur
 		clear(sh.cur)
 	}
-	sh.cur[key] = answer
+	sh.cur[key] = e
 }
 
 // cacheKey identifies an anonymized request up to its request id: the
@@ -266,8 +275,8 @@ func NewCSP(policy *Assignment, provider Provider) *CSP {
 	c := &CSP{provider: provider}
 	c.policy.Store(policy)
 	for i := range c.shards {
-		c.shards[i].cur = make(map[cacheKey][]POI)
-		c.shards[i].prev = make(map[cacheKey][]POI)
+		c.shards[i].cur = make(map[cacheKey]*cacheEntry)
+		c.shards[i].prev = make(map[cacheKey]*cacheEntry)
 		c.shards[i].flight = make(map[flightKey]*flight)
 	}
 	return c
@@ -293,32 +302,50 @@ func (c *CSP) Serve(sr ServiceRequest) (AnonymizedRequest, []POI, error) {
 // cache effectiveness visible per request in traces and per phase in
 // metrics.
 func (c *CSP) ServeContext(ctx context.Context, sr ServiceRequest) (AnonymizedRequest, []POI, error) {
-	_, sp := obs.Start(ctx, "csp.serve")
+	ar, answer, _, err := c.ServeRendered(ctx, sr, nil)
+	return ar, answer, err
+}
+
+// ServeRendered is ServeContext for a caller that puts the answer on a
+// wire. On a cache hit it also returns the answer as render renders it:
+// rendered once, on the entry's first hit, and kept with the entry from
+// then on, so a repeat hit costs its caller a copy instead of a
+// formatting pass. render must be a pure function of the answer, and the
+// same function on every call to one CSP; the returned bytes are shared
+// and must not be written to. On a miss or a coalesced lookup rendered is
+// nil: an entry that is never asked for again never pays for, or holds, a
+// rendering.
+func (c *CSP) ServeRendered(ctx context.Context, sr ServiceRequest, render func([]POI) []byte) (AnonymizedRequest, []POI, []byte, error) {
+	sp := obs.StartLeaf(ctx, "csp.serve")
+	defer sp.End()
 	policy := c.policy.Load()
 	if policy == nil {
-		sp.End()
-		return AnonymizedRequest{}, nil, fmt.Errorf("lbs: no policy installed")
+		return AnonymizedRequest{}, nil, nil, fmt.Errorf("lbs: no policy installed")
 	}
 	rid := c.nextRID.Add(1)
 	ar, err := policy.Anonymize(rid, sr)
 	if err != nil {
-		sp.End()
-		return AnonymizedRequest{}, nil, err
+		return AnonymizedRequest{}, nil, nil, err
 	}
 	key := keyOf(ar)
 	sh := &c.shards[shardOf(key)]
 	fk := flightKey{version: policy.Version(), key: key}
 
 	sh.mu.Lock()
-	if cached, ok := sh.lookup(key); ok {
+	if e := sh.lookup(key); e != nil {
 		sh.hits++
+		rendered := e.rendered
 		sh.mu.Unlock()
-		if sp != nil {
-			sp.SetAttr("cache", "hit")
-			sp.SetInt("candidates", int64(len(cached)))
-			sp.End()
+		if rendered == nil && render != nil {
+			// Two first hits may both render; they render the same bytes.
+			rendered = render(e.answer)
+			sh.mu.Lock()
+			e.rendered = rendered
+			sh.mu.Unlock()
 		}
-		return ar, cached, nil
+		sp.SetAttr("cache", "hit")
+		sp.SetInt("candidates", int64(len(e.answer)))
+		return ar, e.answer, rendered, nil
 	}
 	if f, ok := sh.flight[fk]; ok {
 		// Someone is already asking the provider for this exact cloak
@@ -328,15 +355,11 @@ func (c *CSP) ServeContext(ctx context.Context, sr ServiceRequest) (AnonymizedRe
 		sh.mu.Unlock()
 		<-f.done
 		if f.err != nil {
-			sp.End()
-			return ar, nil, fmt.Errorf("lbs: provider: %w", f.err)
+			return ar, nil, nil, fmt.Errorf("lbs: provider: %w", f.err)
 		}
-		if sp != nil {
-			sp.SetAttr("cache", "coalesced")
-			sp.SetInt("candidates", int64(len(f.answer)))
-			sp.End()
-		}
-		return ar, f.answer, nil
+		sp.SetAttr("cache", "coalesced")
+		sp.SetInt("candidates", int64(len(f.answer)))
+		return ar, f.answer, nil, nil
 	}
 	f := &flight{done: make(chan struct{})}
 	sh.flight[fk] = f
@@ -353,20 +376,16 @@ func (c *CSP) ServeContext(ctx context.Context, sr ServiceRequest) (AnonymizedRe
 	delete(sh.flight, fk) // errors are not cached; a retry starts fresh
 	if err == nil {
 		sh.misses++
-		sh.insert(key, answer)
+		sh.insert(key, &cacheEntry{answer: answer})
 	}
 	sh.mu.Unlock()
 	close(f.done)
 	if err != nil {
-		sp.End()
-		return ar, nil, fmt.Errorf("lbs: provider: %w", err)
+		return ar, nil, nil, fmt.Errorf("lbs: provider: %w", err)
 	}
-	if sp != nil {
-		sp.SetAttr("cache", "miss")
-		sp.SetInt("candidates", int64(len(answer)))
-		sp.End()
-	}
-	return ar, answer, nil
+	sp.SetAttr("cache", "miss")
+	sp.SetInt("candidates", int64(len(answer)))
+	return ar, answer, nil, nil
 }
 
 // CSPStats are the cache and singleflight counters since the last flush.
@@ -413,8 +432,8 @@ func (c *CSP) FlushCache() (suppressed int64) {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		suppressed += sh.hits + sh.coalesced
-		sh.cur = make(map[cacheKey][]POI)
-		sh.prev = make(map[cacheKey][]POI)
+		sh.cur = make(map[cacheKey]*cacheEntry)
+		sh.prev = make(map[cacheKey]*cacheEntry)
 		sh.hits, sh.misses = 0, 0
 		sh.flights, sh.coalesced = 0, 0
 		sh.mu.Unlock()

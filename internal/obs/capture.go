@@ -84,6 +84,21 @@ func (c *Capture) RemoteParent() uint64 {
 	return c.remoteParent
 }
 
+// Reserve makes room for n more spans, up to the capture's limit, in one
+// allocation. A handler that knows its fan-out (a batch of m items
+// finishes 2m+1 spans) calls it before the spans start finishing, instead
+// of letting the buffer double its way there under the lock.
+func (c *Capture) Reserve(n int) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	if want := min(len(c.spans)+n, c.limit); want > cap(c.spans) {
+		c.spans = append(make([]SpanRecord, 0, want), c.spans...)
+	}
+	c.mu.Unlock()
+}
+
 func (c *Capture) add(rec SpanRecord) {
 	c.mu.Lock()
 	if len(c.spans) < c.limit {
@@ -124,14 +139,27 @@ func (c *Capture) Marks() []string {
 	return out
 }
 
-// Spans returns a copy of the captured spans in finish order.
+// Spans returns a copy of the captured spans in finish order. The copy is
+// deep — the attrs move into one array of their own — so that a trace
+// retained from it keeps neither the spans nor the capture alive.
 func (c *Capture) Spans() []SpanRecord {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	out := append([]SpanRecord(nil), c.spans...)
-	c.mu.Unlock()
+	n := 0
+	for i := range out {
+		n += len(out[i].Attrs)
+	}
+	attrs := make([]Attr, 0, n)
+	for i := range out {
+		if from := len(attrs); len(out[i].Attrs) > 0 {
+			attrs = append(attrs, out[i].Attrs...)
+			out[i].Attrs = attrs[from:len(attrs):len(attrs)]
+		}
+	}
 	return out
 }
 

@@ -18,6 +18,7 @@ package obs
 
 import (
 	"context"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -44,6 +45,12 @@ type Span struct {
 	lane   uint64
 	start  time.Time
 	attrs  []Attr
+	// attrBuf backs attrs for the spans of the serving path, which carry
+	// at most three (http.request: route, rid, status), so annotating one
+	// allocates nothing. Whatever outlives the call tree copies the attrs
+	// out (Capture.Spans, the tracer's own retention): a record that
+	// pointed in here would keep the span, and its capture, alive.
+	attrBuf [3]Attr
 }
 
 // ID returns the span's tracer-unique identifier (0 for a nil span or
@@ -66,64 +73,64 @@ type ctxKey struct{}
 const DefaultSpanLimit = 1 << 16
 
 // Tracer collects finished spans and per-phase aggregates. It is safe for
-// concurrent use by multiple goroutines.
+// concurrent use by multiple goroutines. A span that finishes while
+// retention is off (KeepSpans(false), the server's setting) takes no
+// tracer-wide lock: its phase's aggregate is found through agg and
+// updated with atomics.
 type Tracer struct {
 	nextID   atomic.Uint64
 	nextLane atomic.Uint64
+	keep     atomic.Bool
+	reg      atomic.Pointer[metrics.Registry]
+	// agg is copy-on-write: the first span of a new name replaces the map
+	// under mu; every later one only loads it.
+	agg atomic.Pointer[map[string]*phaseAgg]
 
 	mu      sync.Mutex
 	epoch   time.Time
 	spans   []SpanRecord
 	dropped int64
 	limit   int
-	keep    bool
-	agg     map[string]*phaseAgg
-	reg     *metrics.Registry
 }
 
+// phaseAgg aggregates the finished spans of one name. count is bumped
+// last, so a reader that sees count > 0 sees a min and max that cover at
+// least one span.
 type phaseAgg struct {
-	count      int64
-	total, min time.Duration
-	max        time.Duration
+	count, total, min, max atomic.Int64
 
-	// hist and cnt cache the registry series for this phase so the
+	// series caches the registry series for this phase so the
 	// per-span-finish hot path neither concatenates "phase:"+name nor
-	// re-resolves the registry maps. Invalidated by SetRegistry.
+	// re-resolves the registry maps.
+	series atomic.Pointer[phaseSeries]
+}
+
+// phaseSeries is one phase's series in the registry they were resolved
+// from; a SetRegistry to another registry makes it stale.
+type phaseSeries struct {
+	reg  *metrics.Registry
 	hist *metrics.Histogram
 	cnt  *metrics.Counter
 }
 
 // NewTracer returns a tracer that retains up to DefaultSpanLimit spans.
 func NewTracer() *Tracer {
-	return &Tracer{
-		epoch: time.Now(),
-		limit: DefaultSpanLimit,
-		keep:  true,
-		agg:   make(map[string]*phaseAgg),
-	}
+	t := &Tracer{epoch: time.Now(), limit: DefaultSpanLimit}
+	t.keep.Store(true)
+	t.agg.Store(&map[string]*phaseAgg{})
+	return t
 }
 
 // SetRegistry mirrors every finished span into reg: a latency observation
 // on histogram "phase:<name>" and an increment of counter
 // "phase_spans:<name>". This is how the server turns spans into
 // Prometheus series without retaining trace buffers.
-func (t *Tracer) SetRegistry(reg *metrics.Registry) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.reg = reg
-	for _, a := range t.agg {
-		a.hist, a.cnt = nil, nil
-	}
-}
+func (t *Tracer) SetRegistry(reg *metrics.Registry) { t.reg.Store(reg) }
 
 // KeepSpans toggles span retention for trace export. With keep=false only
 // the per-phase aggregates (and the registry mirror) are maintained —
 // the right setting for long-running servers.
-func (t *Tracer) KeepSpans(keep bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.keep = keep
-}
+func (t *Tracer) KeepSpans(keep bool) { t.keep.Store(keep) }
 
 // SetLimit caps the retained-span buffer (n < 1 resets to the default).
 func (t *Tracer) SetLimit(n int) {
@@ -199,21 +206,37 @@ func StartLane(ctx context.Context, name string) (context.Context, *Span) {
 }
 
 func startUnder(ctx context.Context, parent *Span, name string, newLane bool) (context.Context, *Span) {
-	tr := parent.tracer
-	lane := parent.lane
-	if newLane || parent.id == 0 {
+	sp := parent.child(name, newLane)
+	return context.WithValue(ctx, ctxKey{}, sp), sp
+}
+
+// child begins a span under s, which carries a tracer.
+func (s *Span) child(name string, newLane bool) *Span {
+	tr := s.tracer
+	lane := s.lane
+	if newLane || s.id == 0 {
 		lane = tr.nextLane.Add(1)
 	}
-	sp := &Span{
+	return &Span{
 		tracer: tr,
-		cap:    parent.cap,
+		cap:    s.cap,
 		name:   name,
 		id:     tr.nextID.Add(1),
-		parent: parent.id,
+		parent: s.id,
 		lane:   lane,
 		start:  time.Now(),
 	}
-	return context.WithValue(ctx, ctxKey{}, sp), sp
+}
+
+// StartLeaf is Start without the derived context, for a span under which
+// no further span is started: it saves the context allocation on per-item
+// hot paths. When ctx carries no tracer it returns nil.
+func StartLeaf(ctx context.Context, name string) *Span {
+	parent, ok := ctx.Value(ctxKey{}).(*Span)
+	if !ok || parent.tracer == nil {
+		return nil
+	}
+	return parent.child(name, false)
 }
 
 // SetAttr annotates the span. No-op on a nil span.
@@ -222,9 +245,7 @@ func (s *Span) SetAttr(key, value string) {
 		return
 	}
 	if s.attrs == nil {
-		// Spans that get one attr usually get a few; skip the 1→2→4
-		// append-growth allocs on the serving hot path.
-		s.attrs = make([]Attr, 0, 4)
+		s.attrs = s.attrBuf[:0]
 	}
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 }
@@ -266,44 +287,58 @@ func (t *Tracer) finish(s *Span, dur time.Duration) {
 			Start: s.start.Sub(s.cap.epoch), Dur: dur, Attrs: s.attrs,
 		})
 	}
-	t.mu.Lock()
-	a, ok := t.agg[s.name]
-	if !ok {
-		a = &phaseAgg{min: dur}
-		t.agg[s.name] = a
+	a := (*t.agg.Load())[s.name]
+	if a == nil {
+		a = t.newAgg(s.name)
 	}
-	a.count++
-	a.total += dur
-	if dur < a.min {
-		a.min = dur
+	d := int64(dur)
+	for m := a.min.Load(); d < m && !a.min.CompareAndSwap(m, d); m = a.min.Load() {
 	}
-	if dur > a.max {
-		a.max = dur
+	for m := a.max.Load(); d > m && !a.max.CompareAndSwap(m, d); m = a.max.Load() {
 	}
-	if t.keep {
+	a.total.Add(d)
+	a.count.Add(1)
+	if t.keep.Load() {
+		t.mu.Lock()
 		if len(t.spans) < t.limit {
 			t.spans = append(t.spans, SpanRecord{
 				ID: s.id, Parent: s.parent, Lane: s.lane, Name: s.name,
-				Start: s.start.Sub(t.epoch), Dur: dur, Attrs: s.attrs,
+				Start: s.start.Sub(t.epoch), Dur: dur, Attrs: append([]Attr(nil), s.attrs...),
 			})
 		} else {
 			t.dropped++
 		}
+		t.mu.Unlock()
 	}
-	var hist *metrics.Histogram
-	var cnt *metrics.Counter
-	if t.reg != nil {
-		if a.hist == nil {
-			a.hist = t.reg.Histogram("phase:" + s.name)
-			a.cnt = t.reg.Counter("phase_spans:" + s.name)
+	if reg := t.reg.Load(); reg != nil {
+		ser := a.series.Load()
+		if ser == nil || ser.reg != reg {
+			ser = &phaseSeries{reg: reg, hist: reg.Histogram("phase:" + s.name), cnt: reg.Counter("phase_spans:" + s.name)}
+			a.series.Store(ser)
 		}
-		hist, cnt = a.hist, a.cnt
+		ser.hist.Observe(dur)
+		ser.cnt.Inc()
 	}
-	t.mu.Unlock()
-	if hist != nil {
-		hist.Observe(dur)
-		cnt.Inc()
+}
+
+// newAgg returns the aggregate of a name the loaded map did not have,
+// adding it to a copy of the map unless another goroutine already has.
+func (t *Tracer) newAgg(name string) *phaseAgg {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	old := *t.agg.Load()
+	if a := old[name]; a != nil {
+		return a
 	}
+	a := &phaseAgg{}
+	a.min.Store(math.MaxInt64)
+	next := make(map[string]*phaseAgg, len(old)+1)
+	for k, v := range old {
+		next[k] = v
+	}
+	next[name] = a
+	t.agg.Store(&next)
+	return a
 }
 
 // Spans returns a copy of the retained spans ordered by start time.
@@ -322,5 +357,5 @@ func (t *Tracer) Reset() {
 	t.epoch = time.Now()
 	t.spans = t.spans[:0]
 	t.dropped = 0
-	t.agg = make(map[string]*phaseAgg)
+	t.agg.Store(&map[string]*phaseAgg{})
 }

@@ -292,3 +292,56 @@ func TestSpanLimitDrops(t *testing.T) {
 		t.Fatal("Reset did not clear state")
 	}
 }
+
+// TestAggregatesConcurrent: spans finishing on several goroutines — under
+// names the tracer has and has not met, while the registry is swapped and
+// the summary read — lose no count. A finish takes no tracer-wide lock
+// (the aggregates are atomics behind a copy-on-write map), so this is the
+// test that holds it to what the lock used to give. Run with -race.
+func TestAggregatesConcurrent(t *testing.T) {
+	tr := NewTracer()
+	tr.KeepSpans(false)
+	first, second := metrics.NewRegistry(), metrics.NewRegistry()
+	tr.SetRegistry(first)
+	ctx := WithTracer(context.Background(), tr)
+	names := []string{"a", "b", "c", "d"}
+	const workers, perName = 8, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perName; i++ {
+				for _, name := range names {
+					sp := StartLeaf(ctx, name)
+					sp.SetAttr("worker", "w")
+					sp.End()
+				}
+				if w == 0 && i == perName/2 {
+					tr.SetRegistry(second)
+				}
+				if w == 1 {
+					for _, st := range tr.PhaseSummary() {
+						if st.Count < 1 || st.Min > st.Max {
+							t.Errorf("inconsistent summary mid-run: %+v", st)
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	sum := tr.PhaseSummary()
+	if len(sum) != len(names) {
+		t.Fatalf("%d phases, want %d", len(sum), len(names))
+	}
+	for _, st := range sum {
+		if st.Count != workers*perName {
+			t.Errorf("phase %s counted %d spans, want %d", st.Name, st.Count, workers*perName)
+		}
+		got := first.Snapshot().Counters["phase_spans:"+st.Name] + second.Snapshot().Counters["phase_spans:"+st.Name]
+		if got != workers*perName {
+			t.Errorf("phase %s: the two registries saw %d spans, want %d", st.Name, got, workers*perName)
+		}
+	}
+}

@@ -22,15 +22,22 @@ type PhaseStat struct {
 // It is maintained independently of span retention, so it works on
 // tracers running with KeepSpans(false).
 func (t *Tracer) PhaseSummary() []PhaseStat {
-	t.mu.Lock()
-	stats := make([]PhaseStat, 0, len(t.agg))
-	for name, a := range t.agg {
+	agg := *t.agg.Load()
+	stats := make([]PhaseStat, 0, len(agg))
+	for name, a := range agg {
+		// count first: it is bumped last, so what is read after it covers
+		// at least that many spans. A name whose first span is still
+		// being recorded has none yet.
+		n := a.count.Load()
+		if n == 0 {
+			continue
+		}
+		total := time.Duration(a.total.Load())
 		stats = append(stats, PhaseStat{
-			Name: name, Count: a.count, Total: a.total,
-			Min: a.min, Max: a.max, Mean: a.total / time.Duration(a.count),
+			Name: name, Count: n, Total: total,
+			Min: time.Duration(a.min.Load()), Max: time.Duration(a.max.Load()), Mean: total / time.Duration(n),
 		})
 	}
-	t.mu.Unlock()
 	sort.Slice(stats, func(i, j int) bool {
 		if stats[i].Total != stats[j].Total {
 			return stats[i].Total > stats[j].Total

@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"policyanon/internal/audit"
 	"policyanon/internal/ledger"
+	"policyanon/internal/location"
+	"policyanon/internal/workload"
 )
 
 // benchRequest drives POST /v1/request through the handler directly
@@ -103,4 +108,135 @@ func BenchmarkRequestAudit(b *testing.B) {
 			s.EnableLedger(led)
 		})
 	})
+}
+
+// batchFixture is a server at a scaled-down copy of the repository
+// benchmark's serving shape: 4000 users drawn the way benchmark/gen.go
+// draws them, k=50, and a uniform catalogue in four categories sparse
+// enough that a cloak's nearest-neighbour answer is a dozen or so
+// candidates (~750 bytes on the wire) — installBenchSnapshot's one POI
+// never shows what an answer costs to write.
+type batchFixture struct {
+	h     http.Handler
+	users []location.Record
+}
+
+const (
+	batchFixtureUsers = 4000
+	batchFixtureItems = 64
+)
+
+func newBatchFixture(tb testing.TB) *batchFixture {
+	tb.Helper()
+	master := workload.Generate(workload.Config{Intersections: batchFixtureUsers / 2}, 42)
+	db := sampleUsers(tb, master, batchFixtureUsers, 42)
+	h := New().Handler()
+	if w := postSnapshot(h, canonicalBody(db, 50, workload.DefaultMapSide)); w.Code != http.StatusOK {
+		tb.Fatalf("snapshot: %d %s", w.Code, w.Body)
+	}
+	rng := rand.New(rand.NewSource(42))
+	cats := [...]string{"gas", "food", "bank", "shop"}
+	pois := []byte(`{"mapSide":` + strconv.Itoa(int(workload.DefaultMapSide)) + `,"pois":[`)
+	for i := 0; i < 1200; i++ {
+		pois = fmt.Appendf(pois, `{"id":"poi-%05d","x":%d,"y":%d,"category":"%s"},`, i,
+			rng.Int31n(workload.DefaultMapSide), rng.Int31n(workload.DefaultMapSide), cats[rng.Intn(len(cats))])
+	}
+	pois = append(pois[:len(pois)-1], `]}`...)
+	if w := handlerPost(h, "/v1/pois", string(pois)); w.Code != http.StatusOK {
+		tb.Fatalf("pois: %d %s", w.Code, w.Body)
+	}
+	return &batchFixture{h: h, users: db.Records()}
+}
+
+// body appends a batch of batchFixtureItems requests: the users from
+// first on, each with params(b, j) as the rest of its parameter vector.
+func (f *batchFixture) body(b []byte, first int, params func(b []byte, j int) []byte) []byte {
+	b = append(b, `{"requests":[`...)
+	for j := 0; j < batchFixtureItems; j++ {
+		r := f.users[(first+j)%len(f.users)]
+		b = fmt.Appendf(b, `{"user":"%s","x":%d,"y":%d,"params":[{"name":"cat","value":"gas"}`, r.UserID, r.Loc.X, r.Loc.Y)
+		b = append(params(b, j), `]},`...)
+	}
+	return append(b[:len(b)-1], `]}`...)
+}
+
+// post serves one batch and returns the response.
+func (f *batchFixture) post(tb testing.TB, body []byte) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, "/v1/request/batch", bytes.NewReader(body))
+	w := httptest.NewRecorder()
+	f.h.ServeHTTP(w, req)
+	if w.Code != http.StatusOK {
+		tb.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	return w
+}
+
+// hitBodies are nearest-neighbour batches over the whole population,
+// served once so that every later serving of them hits.
+func (f *batchFixture) hitBodies(tb testing.TB) [][]byte {
+	var bodies [][]byte
+	candidates, items := 0, 0
+	for first := 0; first < len(f.users); first += batchFixtureItems {
+		body := f.body(nil, first, func(b []byte, _ int) []byte { return b })
+		bodies = append(bodies, body)
+		f.post(tb, body) // fills the cache
+		w := f.post(tb, body)
+		candidates += bytes.Count(w.Body.Bytes(), []byte(`{"id":`))
+		items += batchFixtureItems
+	}
+	if candidates < 10*items {
+		tb.Fatalf("%d candidates over %d answers: the fixture no longer has 10 per answer", candidates, items)
+	}
+	return bodies
+}
+
+// BenchmarkRequestBatch is one 64-item /v1/request/batch, handler-direct,
+// default flags: "hit" from a warm cache (what serve_batch_hit sends),
+// "miss" as range queries whose radii never repeat (serve_batch_miss).
+// docs/PERFORMANCE.md §3f quotes both.
+func BenchmarkRequestBatch(b *testing.B) {
+	b.Run("hit", func(b *testing.B) {
+		f := newBatchFixture(b)
+		bodies := f.hitBodies(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f.post(b, bodies[i%len(bodies)])
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		f := newBatchFixture(b)
+		var body []byte
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// Building the body is timed too: ~1 % of serving it.
+			body = f.body(body[:0], i*batchFixtureItems, func(b []byte, j int) []byte {
+				return fmt.Appendf(b, `,{"name":"range","value":"2000.%07d"}`, i*batchFixtureItems+j)
+			})
+			f.post(b, body)
+		}
+	})
+}
+
+// TestBatchHitAllocs pins what a cached batch item allocates, tracing and
+// the 1-in-64 audit on: the two spans with their attributes, the item's
+// request ID and the cache key — not the answer, which is copied from the
+// cache entry's rendering into a pooled buffer. A count, so it holds on
+// any machine; the per-batch share (decode, capture, response recorder)
+// is spread over the 64 items.
+func TestBatchHitAllocs(t *testing.T) {
+	f := newBatchFixture(t)
+	bodies := f.hitBodies(t)
+	i := 0
+	perBatch := testing.AllocsPerRun(200, func() {
+		f.post(t, bodies[i%len(bodies)])
+		i++
+	})
+	const ceiling = 6.5
+	if perItem := perBatch / batchFixtureItems; perItem > ceiling {
+		t.Fatalf("%.1f allocations per batch, %.2f per item, want <= %v", perBatch, perItem, ceiling)
+	} else {
+		t.Logf("%.1f allocations per batch, %.2f per item", perBatch, perItem)
+	}
 }

@@ -517,14 +517,8 @@ func rectJSON(r geo.Rect) RectJSON {
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, maxSnapshotBody)
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, status, fmt.Errorf("read body: %w", err))
+	body, ok := bodyOrError(w, r, maxSnapshotBody)
+	if !ok {
 		return
 	}
 	req, users, err := decodeSnapshot(body)
@@ -881,8 +875,12 @@ type ServiceRequestJSON struct {
 
 func (s *Server) handleRequest(w http.ResponseWriter, r *http.Request) {
 	s.refreshMotion()
-	var req ServiceRequestJSON
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, ok := bodyOrError(w, r, maxItemBytes)
+	if !ok {
+		return
+	}
+	req, err := decodeRequest(body)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
 		return
 	}
@@ -895,7 +893,7 @@ func (s *Server) handleRequest(w http.ResponseWriter, r *http.Request) {
 	}
 	sr := lbs.ServiceRequest{UserID: req.User, Loc: geo.Point{X: req.X, Y: req.Y}, Params: req.Params}
 	ctx := s.obsCtx(r)
-	ar, answer, err := csp.ServeContext(ctx, sr)
+	ar, answer, rendered, err := csp.ServeRendered(ctx, sr, renderCandidates)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -910,15 +908,7 @@ func (s *Server) handleRequest(w http.ResponseWriter, r *http.Request) {
 	}
 	s.reg.Counter("serve_requests:single").Inc()
 	s.requestsServed.Add(1)
-	out := make([]POIJSON, len(answer))
-	for i, p := range answer {
-		out[i] = POIJSON{ID: p.ID, X: p.Loc.X, Y: p.Loc.Y, Category: p.Category}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"rid":        ar.RID,
-		"cloak":      rectJSON(ar.Cloak),
-		"candidates": out,
-	})
+	writeRequestOK(w, &served{rid: ar.RID, cloak: ar.Cloak, answer: answer, rendered: rendered})
 }
 
 // foldServeStatsLocked folds the live CSP's cumulative cache and coalesce
@@ -959,21 +949,6 @@ type BatchRequestJSON struct {
 	Requests []ServiceRequestJSON `json:"requests"`
 }
 
-// BatchItemJSON is one request's result within a batch response, in the
-// order submitted. A failed item carries Error (plus its RequestID) and
-// nothing else; the batch itself still answers 200 — per-item failures
-// (unknown user, spoofed location) must not void its neighbours.
-// RequestID is the item's derived X-Request-ID ("<batch-rid>-<i>"),
-// which also appears in the item's slog lines, breach records, and
-// spans, so batch failures are correlatable like single requests.
-type BatchItemJSON struct {
-	RequestID  string    `json:"requestID,omitempty"`
-	RID        uint64    `json:"rid,omitempty"`
-	Cloak      *RectJSON `json:"cloak,omitempty"`
-	Candidates []POIJSON `json:"candidates,omitempty"`
-	Error      string    `json:"error,omitempty"`
-}
-
 // handleRequestBatch serves POST /v1/request/batch: the serving snapshot
 // (CSP, policy, engine) is acquired once for the whole batch, then the
 // items resolve in parallel on a bounded worker set. Concurrent items
@@ -982,17 +957,21 @@ type BatchItemJSON struct {
 // N sequential /v1/request calls comes from.
 func (s *Server) handleRequestBatch(w http.ResponseWriter, r *http.Request) {
 	s.refreshMotion()
-	var req BatchRequestJSON
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, ok := bodyOrError(w, r, maxBatchBody)
+	if !ok {
+		return
+	}
+	reqs, n, err := decodeBatch(body)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
 		return
 	}
-	if len(req.Requests) == 0 {
+	if n == 0 {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("empty batch"))
 		return
 	}
-	if len(req.Requests) > maxBatchRequests {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("batch of %d exceeds the %d-request limit", len(req.Requests), maxBatchRequests))
+	if n > maxBatchRequests {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("batch of %d exceeds the %d-request limit", n, maxBatchRequests))
 		return
 	}
 	// One snapshot acquisition for the whole batch.
@@ -1004,13 +983,11 @@ func (s *Server) handleRequestBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := s.obsCtx(r)
+	obs.CaptureFrom(ctx).Reserve(2*n + 1) // serve.item and csp.serve per item, and the root
 	batchRID := audit.RequestID(ctx)
 	logger := s.Logger()
-	items := make([]BatchItemJSON, len(req.Requests))
-	nw := runtime.GOMAXPROCS(0)
-	if nw > len(req.Requests) {
-		nw = len(req.Requests)
-	}
+	items := make([]served, n)
+	nw := min(runtime.GOMAXPROCS(0), n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for range nw {
@@ -1019,24 +996,25 @@ func (s *Server) handleRequestBatch(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(req.Requests) {
+				if i >= n {
 					return
 				}
-				rq := req.Requests[i]
+				rq := &reqs[i]
 				// Each item gets a derived request ID so its breach
 				// records, log lines, and spans correlate individually.
+				// It goes into a context only for the items something
+				// reads it from: the audited and the failed.
 				itemRID := batchRID + "-" + strconv.Itoa(i)
-				ictx := audit.WithRequestID(ctx, itemRID)
-				ictx, isp := obs.Start(ictx, "serve.item")
+				ictx, isp := obs.Start(ctx, "serve.item")
 				isp.SetAttr("rid", itemRID)
 				sr := lbs.ServiceRequest{UserID: rq.User, Loc: geo.Point{X: rq.X, Y: rq.Y}, Params: rq.Params}
-				ar, answer, err := csp.ServeContext(ictx, sr)
+				ar, answer, rendered, err := csp.ServeRendered(ictx, sr, renderCandidates)
 				if err != nil {
 					isp.SetAttr("error", err.Error())
 					isp.End()
-					items[i] = BatchItemJSON{RequestID: itemRID, Error: err.Error()}
+					items[i] = served{err: err}
 					if logger != nil {
-						logger.LogAttrs(ictx, slog.LevelDebug, "batch item failed",
+						logger.LogAttrs(audit.WithRequestID(ictx, itemRID), slog.LevelDebug, "batch item failed",
 							slog.String("rid", itemRID),
 							slog.String("user", rq.User),
 							slog.String("error", err.Error()),
@@ -1044,25 +1022,20 @@ func (s *Server) handleRequestBatch(w http.ResponseWriter, r *http.Request) {
 					}
 					continue
 				}
-				if policy != nil {
-					s.aud.MaybeObserveRequest(ictx, engineName, policy, ar.Cloak, k)
+				if policy != nil && s.aud.SampleRequest() {
+					s.aud.ObserveRequest(audit.WithRequestID(ictx, itemRID), engineName, policy, ar.Cloak, k)
 				}
-				out := make([]POIJSON, len(answer))
-				for j, p := range answer {
-					out[j] = POIJSON{ID: p.ID, X: p.Loc.X, Y: p.Loc.Y, Category: p.Category}
-				}
-				cl := rectJSON(ar.Cloak)
-				items[i] = BatchItemJSON{RequestID: itemRID, RID: ar.RID, Cloak: &cl, Candidates: out}
+				items[i] = served{rid: ar.RID, cloak: ar.Cloak, answer: answer, rendered: rendered}
 				isp.End()
 			}
 		}()
 	}
 	wg.Wait()
 	s.reg.Counter("serve_batches").Inc()
-	s.reg.Counter("serve_requests:batch").Add(int64(len(req.Requests)))
-	s.requestsServed.Add(int64(len(req.Requests)))
+	s.reg.Counter("serve_requests:batch").Add(int64(n))
+	s.requestsServed.Add(int64(n))
 	s.batchesServed.Add(1)
-	writeJSON(w, http.StatusOK, map[string]any{"results": items})
+	writeBatchOK(w, batchRID, items)
 }
 
 // CheckpointTo streams the current state as a checkpoint; it fails when
