@@ -6,7 +6,7 @@
 //	POST /v1/snapshot       install a user snapshot and compute its policy
 //	POST /v1/moves          apply user moves (queued when -motion is set)
 //	POST /v1/pois           install the POI database served to requests
-//	GET  /v1/cloak          cloak lookup for one user (?user=U&engine=NAME)
+//	GET  /v1/cloak          cloak lookup for one user (?user=U; installed engine only)
 //	POST /v1/request        full LBS round: cloak + candidate POIs
 //	POST /v1/request/batch  many LBS rounds in one call (amortized hot path)
 //	GET  /v1/stats          CSP serving counters (cache, coalescing, POIs)
@@ -28,7 +28,9 @@
 //	anonserver -addr :8080 -engine casper    # default engine for snapshots
 //
 // Snapshot requests may override the engine per request with ?engine=NAME
-// or an "engine" body field; GET /v1/engines lists the registry.
+// or an "engine" body field; GET /v1/engines lists the registry. Cloak
+// lookups serve the installed engine only: compare engines offline with
+// anoncli -engine or lbsbench -exp engines.
 //
 // With -state, the server restores the snapshot and policy from the file
 // at startup (when it exists) and checkpoints back to it on SIGINT or
@@ -123,7 +125,7 @@ const endpointList = `  GET  /healthz           readiness (200 once a snapshot i
   POST /v1/snapshot       install a user snapshot and compute its policy
   POST /v1/moves          apply user moves (queued when -motion is set)
   POST /v1/pois           install the POI database served to requests
-  GET  /v1/cloak          cloak lookup for one user (?user=U&engine=NAME)
+  GET  /v1/cloak          cloak lookup for one user (?user=U; installed engine only)
   POST /v1/request        full LBS round: cloak + candidate POIs
   POST /v1/request/batch  many LBS rounds in one call (amortized hot path)
   GET  /v1/stats          CSP serving counters (cache, coalescing, POIs)
@@ -167,7 +169,6 @@ func main() {
 		motionPolicy    = flag.String("motion-policy", "block", "backpressure when the ingest queue is full: block or drop")
 		motionStrategy  = flag.String("motion-strategy", "auto", "maintenance strategy: auto, incremental, or rebuild")
 		motionCkptEvery = flag.Int("motion-checkpoint-every", 0, "checkpoint -state every N applied batches (0 disables periodic checkpoints)")
-		motionVerEvery  = flag.Int("motion-verify-every", 0, "full-verification cadence for delta publishes: full verify every Nth publish, delta-scoped verify otherwise (0 or 1 = always full)")
 	)
 	// -h prints the endpoint set alongside the flags so the CLI surface and
 	// the README stay in sync (the list mirrors internal/server's mux).
@@ -263,7 +264,6 @@ func main() {
 			FlushInterval: *motionFlush,
 			Policy:        bp,
 			Strategy:      strategy,
-			VerifyEvery:   *motionVerEvery,
 		}
 		if *state != "" && *motionCkptEvery > 0 {
 			// Periodic persistence from the live loop. The callback runs on
@@ -278,7 +278,7 @@ func main() {
 		}
 		srv.EnableMotion(cfg)
 		logger.Info("motion enabled", "policy", *motionPolicy, "strategy", *motionStrategy,
-			"checkpointEvery", *motionCkptEvery, "verifyEvery", *motionVerEvery)
+			"checkpointEvery", *motionCkptEvery)
 	}
 	if *state != "" {
 		if f, err := os.Open(*state); err == nil {

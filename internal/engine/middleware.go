@@ -2,8 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -13,7 +11,6 @@ import (
 	"policyanon/internal/location"
 	"policyanon/internal/metrics"
 	"policyanon/internal/obs"
-	"policyanon/internal/verify"
 )
 
 // Middleware decorates an Engine with a cross-cutting concern. The
@@ -23,9 +20,8 @@ type Middleware func(Engine) Engine
 
 // Wrap applies middlewares around e with mws[0] outermost: the call order
 // of Wrap(e, A, B) is A -> B -> e. The conventional serving stack is
-// Wrap(e, WithTracing(), WithMetrics(reg), WithVerify(reg), WithCache()),
-// so that cache hits are traced and metered but skip verification and the
-// engine itself.
+// Wrap(e, WithTracing(), WithMetrics(reg), WithCache()), so that cache
+// hits are traced and metered but skip the engine itself.
 func Wrap(e Engine, mws ...Middleware) Engine {
 	for i := len(mws) - 1; i >= 0; i-- {
 		e = mws[i](e)
@@ -83,79 +79,6 @@ func WithMetrics(reg *metrics.Registry) Middleware {
 	}
 }
 
-// BreachError reports a policy that failed post-hoc verification.
-type BreachError struct {
-	// Engine is the producing engine's name.
-	Engine string
-	// Report is the full first-principles verification outcome.
-	Report *verify.Report
-}
-
-// Error summarizes the first problems.
-func (e *BreachError) Error() string {
-	probs := e.Report.Problems
-	shown := probs
-	if len(shown) > 3 {
-		shown = shown[:3]
-	}
-	return fmt.Sprintf("engine %s: policy failed verification (%d problems): %s",
-		e.Engine, len(probs), strings.Join(shown, "; "))
-}
-
-// WithVerify runs the full internal/verify.Policy audit on every
-// assignment the engine produces and surfaces breaches as a *BreachError.
-// The masking property and policy-unaware k-anonymity are enforced for
-// every engine; policy-aware k-anonymity is enforced only for engines the
-// registry flags PolicyAware (k-inside baselines breach it by
-// construction — Example 1 — and registering that capability honestly is
-// the point of the flag). Engines unknown to reg are held to the full
-// policy-aware standard.
-//
-// WithVerify is enforcement: a failing policy is withheld from the
-// caller, at the cost of a full Definition-6 verification (witness
-// construction included) on every call. For observation without
-// enforcement — rolling achieved-k metrics on a serving hot path — use
-// WithAudit; to keep enforcement but pay for it on a fraction of calls,
-// use WithVerifySampled.
-func WithVerify(reg *Registry) Middleware {
-	return WithVerifySampled(reg, 1)
-}
-
-// WithVerifySampled is WithVerify at a sampling rate: only ~rate of the
-// calls are verified (deterministic 1-in-N selection, first call always
-// verified), the rest pass through unexamined. Engines are deterministic
-// in the snapshot, so sampled verification of a stream of snapshots
-// trades detection latency for throughput; rate <= 0 disables
-// verification entirely and rate >= 1 restores WithVerify semantics.
-func WithVerifySampled(reg *Registry, rate float64) Middleware {
-	return func(next Engine) Engine {
-		name := next.Name()
-		sampler := audit.NewSampler(rate)
-		return New(name, func(ctx context.Context, db *location.DB, bounds geo.Rect, p Params) (*lbs.Assignment, error) {
-			a, err := next.Anonymize(ctx, db, bounds, p)
-			if err != nil {
-				return nil, err
-			}
-			if !sampler.Sample() {
-				return a, nil
-			}
-			_, sp := obs.Start(ctx, "engine.verify")
-			rep := verify.Policy(a, p.EffectiveK())
-			sp.End()
-			wantAware := true
-			if reg != nil {
-				if info, ok := reg.Info(name); ok {
-					wantAware = info.PolicyAware
-				}
-			}
-			if !rep.Masking || !rep.PolicyUnaware || (wantAware && !rep.PolicyAware) {
-				return nil, &BreachError{Engine: name, Report: rep}
-			}
-			return a, nil
-		})
-	}
-}
-
 // WithAudit samples successful Anonymize results into the privacy
 // observatory: ~rate of the calls (deterministic 1-in-N, first call
 // always sampled) are audited in full via audit.Auditor.ObservePolicy —
@@ -163,10 +86,9 @@ func WithVerifySampled(reg *Registry, rate float64) Middleware {
 // utility measures, recorded as an "engine.audit" span with breach
 // attributes attached to the enclosing "engine.<name>" span.
 //
-// Unlike WithVerify it never withholds a policy: breaches are observed,
-// counted, and logged, not enforced. It is the serving-stack replacement
-// for WithVerify's every-call cost — attacker.Audit is near-linear in |D|
-// where full verification also constructs the Definition-6 witness.
+// It never withholds a policy: breaches are observed, counted, and
+// logged, not enforced. Enforcement belongs to the publish paths, which
+// run internal/verify.Policy before a policy is served.
 func WithAudit(aud *audit.Auditor, rate float64) Middleware {
 	return func(next Engine) Engine {
 		name := next.Name()

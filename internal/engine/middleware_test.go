@@ -117,50 +117,6 @@ func TestWithMetricsRecordsCallsAndErrors(t *testing.T) {
 	}
 }
 
-// WithVerify must pass k-inside engines the registry flags PolicyAware=false
-// (they breach policy-aware attackers by construction — Example 1), but hold
-// the same algorithm to the full policy-aware standard when it is not
-// registered.
-func TestWithVerifyHonoursCapabilityFlags(t *testing.T) {
-	db := location.New(0)
-	for _, u := range []struct {
-		id   string
-		x, y int32
-	}{{"Alice", 1, 1}, {"Bob", 1, 2}, {"Carol", 1, 5}, {"Sam", 5, 1}, {"Tom", 6, 2}} {
-		if err := db.Add(u.id, geo.Point{X: u.x, Y: u.y}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bounds := geo.NewRect(0, 0, 8, 8)
-	casper, err := engine.Get("casper")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Registered k-inside engine: verification skips the policy-aware check.
-	if _, err := engine.Wrap(casper, engine.WithVerify(engine.Default)).Anonymize(context.Background(), db, bounds, engine.Params{K: 2}); err != nil {
-		t.Errorf("casper rejected despite PolicyAware=false flag: %v", err)
-	}
-	// The same algorithm under an unregistered name is held to the full
-	// standard and must surface the Example 1 breach as a BreachError.
-	anon := engine.New("anon-kinside", casper.Anonymize)
-	_, err = engine.Wrap(anon, engine.WithVerify(engine.Default)).Anonymize(context.Background(), db, bounds, engine.Params{K: 2})
-	var be *engine.BreachError
-	if !errors.As(err, &be) {
-		t.Fatalf("unregistered k-inside engine passed verification (err = %v)", err)
-	}
-	if be.Engine != "anon-kinside" || be.Report == nil || be.Report.PolicyAware {
-		t.Errorf("breach error %+v does not pin the policy-aware failure", be)
-	}
-	// A policy-aware engine passes the full standard.
-	def, err := engine.Get(engine.DefaultName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := engine.Wrap(def, engine.WithVerify(engine.Default)).Anonymize(context.Background(), db, bounds, engine.Params{K: 2}); err != nil {
-		t.Errorf("%s failed verification: %v", engine.DefaultName, err)
-	}
-}
-
 // example1Fixture is the Example 1 snapshot: a k-inside policy over it
 // breaches policy-aware k=2 anonymity by construction.
 func example1Fixture(t *testing.T) (*location.DB, geo.Rect) {
@@ -175,38 +131,6 @@ func example1Fixture(t *testing.T) (*location.DB, geo.Rect) {
 		}
 	}
 	return db, geo.NewRect(0, 0, 8, 8)
-}
-
-// WithVerifySampled must verify exactly the sampled calls: at rate 1/2
-// over a breaching engine, every other call fails.
-func TestWithVerifySampledSkipsUnsampledCalls(t *testing.T) {
-	db, bounds := example1Fixture(t)
-	casper, err := engine.Get("casper")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Unregistered name: held to the full policy-aware standard, so every
-	// VERIFIED call must fail on this snapshot.
-	anon := engine.New("anon-kinside", casper.Anonymize)
-	w := engine.Wrap(anon, engine.WithVerifySampled(engine.Default, 0.5))
-	var failures int
-	for i := 0; i < 6; i++ {
-		if _, err := w.Anonymize(context.Background(), db, bounds, engine.Params{K: 2}); err != nil {
-			var be *engine.BreachError
-			if !errors.As(err, &be) {
-				t.Fatalf("call %d: unexpected error %v", i, err)
-			}
-			failures++
-		}
-	}
-	if failures != 3 {
-		t.Fatalf("rate-0.5 verification failed %d/6 calls, want 3", failures)
-	}
-	// Rate 0 disables verification entirely.
-	w = engine.Wrap(anon, engine.WithVerifySampled(engine.Default, 0))
-	if _, err := w.Anonymize(context.Background(), db, bounds, engine.Params{K: 2}); err != nil {
-		t.Fatalf("rate-0 verification still ran: %v", err)
-	}
 }
 
 // WithAudit must observe the Example 1 breach — counter, rolling report,

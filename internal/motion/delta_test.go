@@ -14,9 +14,8 @@ import (
 	"policyanon/internal/workload"
 )
 
-// TestPipelineDeltaPublishes drives a forced-incremental pipeline with
-// delta-scoped verification (full anchor every 4th publish) and asserts
-// the delta publish path actually carried the traffic: snapshots share
+// TestPipelineDeltaPublishes drives a forced-incremental pipeline and
+// asserts the delta publish path actually carried the traffic: snapshots share
 // storage with their predecessors and each publish rewrites far fewer
 // cloaks than a full republish.
 func TestPipelineDeltaPublishes(t *testing.T) {
@@ -29,7 +28,6 @@ func TestPipelineDeltaPublishes(t *testing.T) {
 		MaxBatch:      32,
 		FlushInterval: time.Millisecond,
 		MaxMoveMeters: -1,
-		VerifyEvery:   4,
 		BaseContext:   obs.WithTracer(context.Background(), tracer),
 	})
 	if err != nil {
@@ -69,8 +67,8 @@ func TestPipelineDeltaPublishes(t *testing.T) {
 	}
 
 	// Every publish passed the gate inside a motion.verify span that says
-	// which verification ran and what it found.
-	modes := map[string]int64{}
+	// what it found.
+	var verified int64
 	for _, sp := range tracer.Spans() {
 		if sp.Name != "motion.verify" {
 			continue
@@ -79,7 +77,7 @@ func TestPipelineDeltaPublishes(t *testing.T) {
 		for _, a := range sp.Attrs {
 			attrs[a.Key] = a.Value
 		}
-		modes[attrs["mode"]]++
+		verified++
 		groups, _ := strconv.Atoi(attrs["groups"])
 		minAware, _ := strconv.Atoi(attrs["min_aware"])
 		minUnaware, _ := strconv.Atoi(attrs["min_unaware"])
@@ -87,11 +85,11 @@ func TestPipelineDeltaPublishes(t *testing.T) {
 			t.Fatalf("motion.verify span attributes %v", attrs)
 		}
 	}
-	if modes["full"]+modes["delta"] != snap.Epoch || modes["full"] < 2 || modes["delta"] < modes["full"] {
-		t.Fatalf("motion.verify spans by mode %v over %d epochs at VerifyEvery=4", modes, snap.Epoch)
+	if verified != snap.Epoch {
+		t.Fatalf("%d motion.verify spans over %d epochs", verified, snap.Epoch)
 	}
-	if st.LastVerifyMode == "" || st.LastVerifyMs <= 0 {
-		t.Fatalf("stats carry no last verify: %q, %v ms", st.LastVerifyMode, st.LastVerifyMs)
+	if st.LastVerifyMs <= 0 {
+		t.Fatalf("stats carry no last verify: %v ms", st.LastVerifyMs)
 	}
 }
 

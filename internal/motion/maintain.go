@@ -40,19 +40,9 @@ type maintainer struct {
 	// first publish, after a failed publish, after a rebuild starts) —
 	// then the next publish goes from scratch and re-anchors the chain.
 	lastPub *lbs.Assignment
-	// publishes counts successful publishes, driving the VerifyEvery
-	// full-verification cadence.
-	publishes int64
-	// lastVerify describes the most recent run of the publish gate (nil
-	// before the first, and always with SkipVerify).
-	lastVerify *verifyStat
-}
-
-// verifyStat is one run of the publish gate: which verification ran and
-// how long it took.
-type verifyStat struct {
-	mode string // "full" or "delta"
-	took time.Duration
+	// lastVerify is how long the most recent run of the publish gate took
+	// (0 before the first, and always with SkipVerify).
+	lastVerify time.Duration
 }
 
 // verifyError wraps a failure of the publish-gate verification. apply
@@ -210,7 +200,7 @@ func (m *maintainer) applyIncremental(ctx context.Context, moves map[int]geo.Poi
 					m.lastPub = nil
 					return applyResult{}, &verifyError{verr}
 				}
-				m.notePublished(pub)
+				m.lastPub = pub
 				return res, nil
 			}
 			// The delta does not match the published parent (e.g. an
@@ -239,7 +229,7 @@ func (m *maintainer) applyIncremental(ctx context.Context, moves map[int]geo.Poi
 		m.lastPub = nil
 		return applyResult{}, &verifyError{verr}
 	}
-	m.notePublished(pub)
+	m.lastPub = pub
 	return res, nil
 }
 
@@ -270,15 +260,8 @@ func (m *maintainer) applyRebuild(ctx context.Context, moves map[int]geo.Point) 
 	if verr := m.verifyPub(ctx, pub); verr != nil {
 		return applyResult{}, &verifyError{verr}
 	}
-	m.notePublished(pub)
-	return res, nil
-}
-
-// notePublished re-anchors the delta chain on a successfully verified
-// publish and advances the VerifyEvery cadence.
-func (m *maintainer) notePublished(pub *lbs.Assignment) {
 	m.lastPub = pub
-	m.publishes++
+	return res, nil
 }
 
 // rebuild recomputes the policy from scratch over the live DB. For
@@ -322,28 +305,19 @@ func (m *maintainer) rebind(policy *lbs.Assignment) (*lbs.Assignment, error) {
 
 // verifyPub is the defence-in-depth gate of every publish (unless
 // disabled): masking and k-anonymity re-derived from first principles,
-// from the assignment being published and nothing else. Delta-derived
-// policies are verified delta-scoped (touched-record masking, no witness;
-// sound relative to the last fully verified ancestor) except every
-// VerifyEvery-th publish, which re-runs the full verification as the
-// anchor; VerifyEvery <= 1 verifies every publish in full. Full publishes
-// always verify in full. The gate runs in a motion.verify span that says
-// which verification ran and what it found.
+// from the assignment being published and nothing else. Every publish,
+// delta or full, runs the full verify.Policy. The gate runs in a
+// motion.verify span that says what it found.
 func (m *maintainer) verifyPub(ctx context.Context, pub *lbs.Assignment) error {
 	if m.cfg.SkipVerify {
 		return nil
 	}
-	mode, check := "full", verify.Policy
-	if pub.Delta() != nil && m.cfg.VerifyEvery > 1 && (m.publishes+1)%int64(m.cfg.VerifyEvery) != 0 {
-		mode, check = "delta", verify.Delta
-	}
 	_, sp := obs.Start(ctx, "motion.verify")
 	start := time.Now()
-	rep := check(pub, m.cfg.K)
-	m.lastVerify = &verifyStat{mode: mode, took: time.Since(start)}
+	rep := verify.Policy(pub, m.cfg.K)
+	m.lastVerify = time.Since(start)
 	if sp != nil {
 		survey := attacker.SurveyOf(pub) // the one the check just built
-		sp.SetAttr("mode", mode)
 		sp.SetInt("groups", int64(len(survey.Groups())))
 		sp.SetInt("min_aware", int64(rep.MinAware))
 		sp.SetInt("min_unaware", int64(rep.MinUnaware))

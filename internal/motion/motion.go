@@ -178,13 +178,6 @@ type Config struct {
 	// each snapshot swap. Verification re-derives masking and k-anonymity
 	// from first principles (internal/verify); leave it on in production.
 	SkipVerify bool
-	// VerifyEvery sets the full-verification cadence for delta publishes:
-	// every VerifyEvery-th publish is verified in full (verify.Policy,
-	// including the Definition 6 witness), the others delta-scoped
-	// (verify.Delta: touched-record masking and no witness, about half
-	// the cost). 0 or 1 verifies every publish in full. Full (non-delta)
-	// publishes are always verified in full.
-	VerifyEvery int
 
 	// CheckpointEvery persists state every N applied batches through
 	// Checkpoint (0 disables periodic persistence; the final drain always
@@ -259,9 +252,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.MaxMoveMeters == 0 {
 		c.MaxMoveMeters = 200
-	}
-	if c.VerifyEvery < 0 {
-		return c, fmt.Errorf("motion: VerifyEvery must be >= 0, got %d", c.VerifyEvery)
 	}
 	if c.CheckpointEvery < 0 {
 		return c, fmt.Errorf("motion: CheckpointEvery must be >= 0, got %d", c.CheckpointEvery)
@@ -343,12 +333,10 @@ type Stats struct {
 	Checkpoints    int64   `json:"checkpoints"`
 	LastBatch      int     `json:"lastBatch"`
 	LastApplyMs    float64 `json:"lastApplyMs"`
-	// LastVerifyMode is the publish gate's most recent verification —
-	// "full" or "delta", empty when none ran (SkipVerify) — and
-	// LastVerifyMs what it took; it is part of LastApplyMs.
-	LastVerifyMode string  `json:"lastVerifyMode"`
-	LastVerifyMs   float64 `json:"lastVerifyMs"`
-	Closed         bool    `json:"closed"`
+	// LastVerifyMs is what the publish gate's most recent verification
+	// took (0 when none ran: SkipVerify); it is part of LastApplyMs.
+	LastVerifyMs float64 `json:"lastVerifyMs"`
+	Closed       bool    `json:"closed"`
 }
 
 // Pipeline is the streaming-update subsystem. Create with New or
@@ -385,7 +373,7 @@ type Pipeline struct {
 	checkpoints    atomic.Int64
 	lastBatch      atomic.Int64
 	lastApplyNs    atomic.Int64
-	lastVerify     atomic.Pointer[verifyStat]
+	lastVerifyNs   atomic.Int64
 	isClosed       atomic.Bool
 
 	// The registry handles of the per-move metrics, looked up once:
@@ -467,7 +455,7 @@ func (p *Pipeline) initialSnapshot(policy *lbs.Assignment) (*Snapshot, error) {
 	}
 	// Anchor the delta chain: subsequent incremental batches derive their
 	// published assignments from this one via ApplyDelta.
-	p.m.notePublished(pub)
+	p.m.lastPub = pub
 	return &Snapshot{
 		Policy:        pub,
 		K:             p.cfg.K,
@@ -496,7 +484,7 @@ func (p *Pipeline) Config() Config { return p.cfg }
 
 // Stats returns a point-in-time view of the pipeline's accounting.
 func (p *Pipeline) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Epoch:          p.Epoch(),
 		QueueDepth:     len(p.q),
 		QueueCapacity:  p.cfg.QueueCapacity,
@@ -516,13 +504,9 @@ func (p *Pipeline) Stats() Stats {
 		Checkpoints:    p.checkpoints.Load(),
 		LastBatch:      int(p.lastBatch.Load()),
 		LastApplyMs:    float64(p.lastApplyNs.Load()) / 1e6,
+		LastVerifyMs:   float64(p.lastVerifyNs.Load()) / 1e6,
 		Closed:         p.isClosed.Load(),
 	}
-	if v := p.lastVerify.Load(); v != nil {
-		st.LastVerifyMode = v.mode
-		st.LastVerifyMs = float64(v.took.Nanoseconds()) / 1e6
-	}
-	return st
 }
 
 // Validate checks one update against the published snapshot without
@@ -813,7 +797,7 @@ func (p *Pipeline) applyBatch(base context.Context, batch []queued) (fellBack bo
 
 // publish swaps the snapshot front buffer and notifies the observer.
 func (p *Pipeline) publish(s *Snapshot) {
-	p.lastVerify.Store(p.m.lastVerify)
+	p.lastVerifyNs.Store(p.m.lastVerify.Nanoseconds())
 	p.front.Store(s)
 	if p.cfg.OnSwap != nil {
 		p.cfg.OnSwap(s)

@@ -32,11 +32,6 @@ import (
 	"policyanon/internal/verify"
 )
 
-// DefaultVerifyEvery is the default full-verification cadence of delta
-// publishes: every Nth publish re-runs the full first-principles
-// verification; the others are verified delta-scoped.
-const DefaultVerifyEvery = 16
-
 // Anonymizer is the rolling-policy server. Create with New, which takes
 // ownership of db (callers must not mutate it afterwards).
 type Anonymizer struct {
@@ -60,9 +55,7 @@ type Anonymizer struct {
 	pendingMv map[int]lbs.Move
 	// lastPub is the published assignment matching the matrix's extraction
 	// baseline; nil whenever the two may disagree, forcing a full publish.
-	lastPub     *lbs.Assignment
-	publishes   int64
-	verifyEvery int
+	lastPub *lbs.Assignment
 
 	// last*, set by publishLocked, feed Commit's Stats.
 	lastRowsExtracted int
@@ -77,24 +70,15 @@ func New(db *location.DB, bounds geo.Rect, k int) (*Anonymizer, error) {
 		return nil, err
 	}
 	r := &Anonymizer{
-		k:           k,
-		db:          db,
-		anon:        anon,
-		pendingMv:   make(map[int]lbs.Move),
-		verifyEvery: DefaultVerifyEvery,
+		k:         k,
+		db:        db,
+		anon:      anon,
+		pendingMv: make(map[int]lbs.Move),
 	}
 	if err := r.publishLocked(); err != nil {
 		return nil, err
 	}
 	return r, nil
-}
-
-// SetVerifyEvery sets the full-verification cadence for delta publishes
-// (n <= 1 verifies every publish in full).
-func (r *Anonymizer) SetVerifyEvery(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.verifyEvery = n
 }
 
 // publishLocked extracts, verifies and atomically publishes the current
@@ -135,24 +119,18 @@ func (r *Anonymizer) publishLocked() error {
 		r.lastPub = nil
 		return err
 	}
-	if rep := verify.Policy(policy, r.k); !rep.OK() {
+	if verr := r.verifyLocked(policy); verr != nil {
 		r.lastPub = nil
-		return fmt.Errorf("rolling: refusing to publish: %s", rep.Problems[0])
+		return verr
 	}
 	r.storeLocked(policy, policy.Len(), policy.Len(), false)
 	return nil
 }
 
-// verifyLocked gates one delta publish: delta-scoped except every
-// verifyEvery-th publish, which re-anchors with the full verification.
+// verifyLocked gates one publish, delta or full, with the full
+// verification.
 func (r *Anonymizer) verifyLocked(pub *lbs.Assignment) error {
-	var rep *verify.Report
-	if pub.Delta() != nil && r.verifyEvery > 1 && (r.publishes+1)%int64(r.verifyEvery) != 0 {
-		rep = verify.Delta(pub, r.k)
-	} else {
-		rep = verify.Policy(pub, r.k)
-	}
-	if !rep.OK() {
+	if rep := verify.Policy(pub, r.k); !rep.OK() {
 		return fmt.Errorf("rolling: refusing to publish: %s", rep.Problems[0])
 	}
 	return nil
@@ -163,7 +141,6 @@ func (r *Anonymizer) storeLocked(pub *lbs.Assignment, rowsExtracted, cloaksChang
 	r.current.Store(pub)
 	r.epoch.Add(1)
 	r.lastPub = pub
-	r.publishes++
 	clear(r.pendingMv)
 	r.lastRowsExtracted = rowsExtracted
 	r.lastCloaksChanged = cloaksChanged

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"policyanon/internal/audit"
-	"policyanon/internal/lbs"
 	"policyanon/internal/ledger"
 	"policyanon/internal/motion"
 	"policyanon/internal/obs"
@@ -112,7 +111,6 @@ func (s *Server) startMotionLocked() error {
 	// Serving from the latter would race record reads against applies.
 	snap := p.Snapshot()
 	s.policy = snap.Policy
-	s.enginePolicies = map[string]*lbs.Assignment{s.snapEngine: snap.Policy}
 	if s.csp != nil {
 		s.csp.SetPolicy(snap.Policy)
 	}
@@ -140,7 +138,6 @@ func (s *Server) refreshMotion() {
 	}
 	s.lastEpoch.Store(snap.Epoch)
 	s.policy = snap.Policy
-	s.enginePolicies = map[string]*lbs.Assignment{s.snapEngine: snap.Policy}
 	if s.csp != nil {
 		s.csp.SetPolicy(snap.Policy)
 	}

@@ -14,9 +14,8 @@
 //	                           and maintain the policy (incrementally for
 //	                           engines that support it)
 //	POST /v1/pois              install the point-of-interest catalogue
-//	GET  /v1/cloak?user=ID     look up a user's cloak under the policy
-//	                           (&engine=NAME serves an alternative engine's
-//	                           policy over the same snapshot)
+//	GET  /v1/cloak?user=ID     look up a user's cloak under the installed
+//	                           policy (&engine=NAME is a 400)
 //	POST /v1/request           anonymize a service request and answer it
 //	POST /v1/request/batch     anonymize and answer many requests in one
 //	                           round trip: one snapshot acquisition,
@@ -121,14 +120,9 @@ type Server struct {
 	snapEngine string // engine that produced the installed policy
 	// snapOpts carries the engine options the installed snapshot was
 	// anonymized with (e.g. the "workers" DP parallelism budget), so
-	// post-snapshot recomputations — checkpoint-restore rebuilds, move
-	// replays, per-request engine switches — run under the same options.
+	// post-snapshot recomputations — checkpoint-restore rebuilds and move
+	// replays — run under the same options.
 	snapOpts map[string]string
-	// enginePolicies caches alternative engines' policies over the
-	// current snapshot, so /v1/cloak?engine=NAME can serve several
-	// engines per-request in one process. Invalidated whenever the
-	// snapshot changes.
-	enginePolicies map[string]*lbs.Assignment
 
 	// motionCfg, when non-nil, arms streaming movement ingest
 	// (EnableMotion); pipeline is the live instance, created when a
@@ -198,7 +192,7 @@ func New() *Server {
 		Rate: audit.DefaultRate,
 		// Breaches of engines that honestly register PolicyAware=false
 		// are expected (Proposition 3); unknown engines are held to the
-		// full policy-aware standard, mirroring WithVerify.
+		// full policy-aware standard.
 		ExpectPolicyAware: func(name string) bool {
 			info, ok := engine.InfoOf(name)
 			return !ok || info.PolicyAware
@@ -593,7 +587,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	s.policy = policy
 	s.snapEngine = name
 	s.snapOpts = req.Opts
-	s.enginePolicies = map[string]*lbs.Assignment{name: policy}
 	if s.provider != nil {
 		if s.csp == nil {
 			s.csp = lbs.NewCSP(policy, s.provider)
@@ -742,7 +735,6 @@ func (s *Server) handleMoves(w http.ResponseWriter, r *http.Request) {
 	}
 	elapsed := time.Since(start)
 	s.policy = policy
-	s.enginePolicies = map[string]*lbs.Assignment{name: policy}
 	if s.csp != nil {
 		s.csp.SetPolicy(policy)
 	}
@@ -809,26 +801,14 @@ func (s *Server) handleCloak(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("missing user parameter"))
 		return
 	}
-	var policy *lbs.Assignment
-	if name := r.URL.Query().Get("engine"); name != "" {
-		s.mu.Lock()
-		if s.db == nil {
-			s.mu.Unlock()
-			httpError(w, http.StatusConflict, fmt.Errorf("no snapshot installed"))
-			return
-		}
-		var err error
-		policy, err = s.enginePolicyLocked(s.obsCtx(r), name)
-		s.mu.Unlock()
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-	} else {
-		s.mu.RLock()
-		policy = s.policy
-		s.mu.RUnlock()
+	if r.URL.Query().Get("engine") != "" {
+		httpError(w, http.StatusBadRequest, fmt.Errorf(
+			"/v1/cloak serves the installed engine only; compare engines with anoncli -engine or lbsbench -exp engines"))
+		return
 	}
+	s.mu.RLock()
+	policy := s.policy
+	s.mu.RUnlock()
 	if policy == nil {
 		httpError(w, http.StatusConflict, fmt.Errorf("no snapshot installed"))
 		return
@@ -839,34 +819,6 @@ func (s *Server) handleCloak(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"user": user, "cloak": rectJSON(cloak)})
-}
-
-// enginePolicyLocked returns (computing and caching on first use) the
-// named engine's policy over the current snapshot. Callers must hold the
-// write lock.
-func (s *Server) enginePolicyLocked(ctx context.Context, name string) (*lbs.Assignment, error) {
-	if p, ok := s.enginePolicies[name]; ok {
-		return p, nil
-	}
-	eng, err := engine.Get(name)
-	if err != nil {
-		return nil, err
-	}
-	db := s.db
-	if s.pipeline != nil && s.policy != nil {
-		// With motion active the live db belongs to the maintenance loop;
-		// alternative engines must read the immutable published clone.
-		db = s.policy.DB()
-	}
-	p, err := s.runEngine(ctx, eng, db, s.bounds, engine.Params{K: s.k, Opts: s.snapOpts})
-	if err != nil {
-		return nil, err
-	}
-	if s.enginePolicies == nil {
-		s.enginePolicies = make(map[string]*lbs.Assignment)
-	}
-	s.enginePolicies[name] = p
-	return p, nil
 }
 
 // ServiceRequestJSON is a user request on the wire.
@@ -1072,7 +1024,6 @@ func (s *Server) RestoreFrom(r io.Reader) error {
 	// engine's policy, with default options.
 	s.snapEngine = engine.DefaultName
 	s.snapOpts = nil
-	s.enginePolicies = map[string]*lbs.Assignment{engine.DefaultName: st.Policy}
 	if s.provider != nil {
 		if s.csp == nil {
 			s.csp = lbs.NewCSP(st.Policy, s.provider)

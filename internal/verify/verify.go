@@ -2,15 +2,21 @@
 // policy is trusted: it re-derives, from first principles, every property
 // the system promises about an assignment — the masking property
 // (Definition 4), sender k-anonymity against both attacker classes
-// (Definition 6, including the explicit construction of the k Possible
-// Reverse Engineerings whose existence the definition requires), and the
-// structural sanity of the cloaking groups.
+// (Definition 6), and the structural sanity of the cloaking groups.
+//
+// The gate proves Definition 6; it does not build it. The k Possible
+// Reverse Engineerings exist exactly when every cloaking group has at
+// least k members: PRE i maps each issued cloak to the i-th member of its
+// group. Each member is a known user (location.DB holds one record per
+// id), the policy maps it back to the cloak (checked here, member by
+// member), its record lies in the cloak (the masking pass), and the
+// members of one group are distinct records. So the checks below suffice
+// and no PRE is materialised.
 //
 // The anonymization pipeline already guarantees these properties by
 // construction; this package exists so that operational surfaces
-// (checkpoint restore, cluster assembly, simulation) can verify rather
-// than trust, and so the Definition 6 witness lives in library code
-// instead of only in tests.
+// (cluster assembly, simulation, the rolling publisher, every motion
+// publish) can verify rather than trust.
 package verify
 
 import (
@@ -22,7 +28,9 @@ import (
 	"policyanon/internal/location"
 )
 
-// Report is the outcome of a full policy verification.
+// Report is the outcome of a full policy verification. When OK, it is a
+// proof that the k PREs of Definition 6 exist (see the package comment),
+// not a list of them.
 type Report struct {
 	K     int
 	Users int
@@ -35,14 +43,10 @@ type Report struct {
 	// MinAware / MinUnaware are the smallest candidate sets observed.
 	MinAware   int
 	MinUnaware int
-	// Witness holds, when PolicyAware is true, the k PREs of
-	// Definition 6: Witness[i] maps every issued cloak to the i-th
-	// distinct possible sender.
-	Witness []map[geo.Rect]string
 	// DeltaScoped marks a report produced by Delta: masking was re-checked
-	// only for the records the delta touched and no Definition 6 witness
-	// was built. The anonymity checks and Min fields cover every issued
-	// cloak, as in a full report.
+	// only for the records the delta touched and the cloaking groups were
+	// not cross-checked against the policy. The anonymity checks and Min
+	// fields cover every issued cloak, as in a full report.
 	DeltaScoped bool
 	// Problems lists human-readable violations (empty when OK()).
 	Problems []string
@@ -64,8 +68,8 @@ func (r *Report) String() string {
 // Policy runs the full verification of an assignment at anonymity level k.
 // Every count comes from the assignment's own attacker.Survey — one
 // O(|D|) pass for the cloaking groups, one grid for the policy-unaware
-// counts — and the Definition 6 witness is read off the groups' members,
-// so the whole check is O(|D| + k·groups), not O(|D|·groups).
+// counts — and each group member's cloak is read back from the policy, so
+// the whole check is O(|D|), not O(|D|·groups).
 func Policy(a *lbs.Assignment, k int) *Report {
 	r := &Report{K: k, Users: a.Len(), Masking: true}
 	if k < 1 {
@@ -79,18 +83,18 @@ func Policy(a *lbs.Assignment, k int) *Report {
 		}
 	}
 	s := attacker.SurveyOf(a)
-	r.checkAnonymity(s)
-	// Definition 6 witness: k PREs with pairwise distinct senders per
-	// observed cloak, each mapping back to the observed cloak under the
-	// policy itself.
-	if r.PolicyAware && a.Len() > 0 {
-		witness, err := buildWitness(a, s.Groups(), k)
-		if err != nil {
-			r.Problems = append(r.Problems, "witness construction failed: "+err.Error())
-		} else {
-			r.Witness = witness
+	// The one check the survey cannot make of itself: every member of a
+	// cloaking group is issued the group's cloak, so the group is the
+	// policy-aware candidate set a bug in Groups could misstate.
+	for _, g := range s.Groups() {
+		for _, m := range g.Members {
+			if got := a.CloakAt(m); got != g.Cloak {
+				r.Problems = append(r.Problems, fmt.Sprintf(
+					"user %q is grouped under cloak %v but issued %v", db.At(m).UserID, g.Cloak, got))
+			}
 		}
 	}
+	r.checkAnonymity(s)
 	return r
 }
 
@@ -98,13 +102,14 @@ func Policy(a *lbs.Assignment, k int) *Report {
 // per-record passes that a delta cannot have invalidated: masking is
 // re-checked only for the records the delta moved or re-cloaked (every
 // other record and cloak is unchanged since an ancestor was verified in
-// full), and no Definition 6 witness is built. Sender k-anonymity is
-// checked against both attacker classes for every issued cloak, from the
-// assignment's own survey, exactly as Policy does — so the cost is still
-// O(|D|) (the survey pass and its grid), about half of Policy's, and not
-// O(touched). Callers enforce a full-verify cadence
-// (motion.Config.VerifyEvery) so the fully verified ancestor exists. For
-// assignments without a delta it falls back to Policy.
+// full), and the groups are not cross-checked against the policy. Sender
+// k-anonymity is checked against both attacker classes for every issued
+// cloak, from the assignment's own survey, exactly as Policy does — so
+// the cost is still O(|D|) (the survey pass and its grid), close to
+// Policy's, and not O(touched). Every publish path verifies in full; the
+// repo benchmark's moves_publish probe times Delta beside Policy as
+// verify.delta_ms. For assignments without a delta it falls back to
+// Policy.
 func Delta(a *lbs.Assignment, k int) *Report {
 	d := a.Delta()
 	if d == nil {
@@ -155,56 +160,4 @@ func (r *Report) checkAnonymity(s *attacker.Survey) {
 	if r.PolicyAware && !r.PolicyUnaware {
 		r.Problems = append(r.Problems, "Proposition 1 violated: aware-safe but unaware-breached")
 	}
-}
-
-// buildWitness constructs and validates the k PREs of Definition 6. PRE i
-// maps every issued cloak to the i-th member of its cloaking group — the
-// policy-aware candidates in attacker.Candidates order.
-func buildWitness(a *lbs.Assignment, groups []lbs.Group, k int) ([]map[geo.Rect]string, error) {
-	for _, g := range groups {
-		if len(g.Members) < k {
-			return nil, fmt.Errorf("cloak %v admits only %d PREs", g.Cloak, len(g.Members))
-		}
-	}
-	db := a.DB()
-	witness := make([]map[geo.Rect]string, k)
-	// highest[g] is the highest record a sender of group g resolved to so
-	// far. Senders that resolve to strictly rising records are pairwise
-	// distinct, which is the normal case; only a sender that does not rise
-	// is compared against the earlier PREs of its cloak.
-	highest := make([]int, len(groups))
-	for g := range highest {
-		highest[g] = -1
-	}
-	for i := range witness {
-		pre := make(map[geo.Rect]string, len(groups))
-		witness[i] = pre
-		for g, grp := range groups {
-			cloak, user := grp.Cloak, db.At(grp.Members[i]).UserID
-			pre[cloak] = user
-			// Validate the PRE against Definition 5: the mapped service
-			// request is valid w.r.t. D and the policy maps it back to
-			// the observed cloak.
-			at := db.Index(user)
-			if at < 0 {
-				return nil, fmt.Errorf("PRE %d maps %v to unknown user %q", i, cloak, user)
-			}
-			if a.CloakAt(at) != cloak {
-				return nil, fmt.Errorf("PRE %d not reproduced by the policy for %q", i, user)
-			}
-			if !cloak.ContainsClosed(db.At(at).Loc) {
-				return nil, fmt.Errorf("PRE %d violates masking for %q", i, user)
-			}
-			if at > highest[g] {
-				highest[g] = at
-				continue
-			}
-			for j := 0; j < i; j++ {
-				if witness[j][cloak] == user {
-					return nil, fmt.Errorf("PREs %d and %d collide on %v", i, j, cloak)
-				}
-			}
-		}
-	}
-	return witness, nil
 }

@@ -281,9 +281,10 @@ func Candidates(a *Assignment, cloak Rect, aw Awareness) []string {
 type VerifyReport = verify.Report
 
 // Verify re-derives every promised property of a policy from first
-// principles — masking, sender k-anonymity against both attacker classes,
-// and the explicit Definition 6 PRE witness. Operational surfaces should
-// verify rather than trust.
+// principles — masking and sender k-anonymity against both attacker
+// classes. A passing report proves that the k PREs of Definition 6 exist;
+// it does not list them. Operational surfaces should verify rather than
+// trust.
 func Verify(a *Assignment, k int) *VerifyReport { return verify.Policy(a, k) }
 
 // FrequencyAttack replays the Section VII counting attack over a provider
