@@ -3,9 +3,7 @@ package engine_test
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
-	"time"
 
 	"policyanon/internal/audit"
 	"policyanon/internal/engine"
@@ -180,141 +178,5 @@ func TestWithAuditObservesWithoutEnforcing(t *testing.T) {
 	}
 	if engineAttrs["audit.breach"] != "policy-aware" || engineAttrs["audit.achievedK"] != "1" {
 		t.Errorf("engine span attrs %v missing breach annotation", engineAttrs)
-	}
-}
-
-func TestWithCacheMemoizesBySnapshotVersion(t *testing.T) {
-	db, bounds := smallDB(t)
-	inner, err := engine.Get(engine.DefaultName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var calls int
-	counted := engine.New(inner.Name(), func(ctx context.Context, d *location.DB, b geo.Rect, p engine.Params) (*lbs.Assignment, error) {
-		calls++
-		return inner.Anonymize(ctx, d, b, p)
-	})
-	cached := engine.Wrap(counted, engine.WithCache())
-	ctx := context.Background()
-	p := engine.Params{K: 10}
-	a1, err := cached.Anonymize(ctx, db, bounds, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := cached.Anonymize(ctx, db, bounds, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("second identical call ran the engine (calls = %d)", calls)
-	}
-	if a1 != a2 {
-		t.Error("cache hit returned a different assignment")
-	}
-	// Different parameters miss.
-	if _, err := cached.Anonymize(ctx, db, bounds, engine.Params{K: 12}); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 {
-		t.Fatalf("k=12 call did not run the engine (calls = %d)", calls)
-	}
-	// A mutation bumps the snapshot version and invalidates the memo.
-	db.MoveAt(0, geo.Point{X: bounds.MaxX - 1, Y: bounds.MaxY - 1})
-	if _, err := cached.Anonymize(ctx, db, bounds, p); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 3 {
-		t.Fatalf("post-mutation call served stale cache (calls = %d)", calls)
-	}
-}
-
-// TestWithCacheCoalescesConcurrentMisses: N concurrent identical
-// Anonymize calls on a cold cache run the engine once; everyone shares
-// the leader's assignment. Run with -race.
-func TestWithCacheCoalescesConcurrentMisses(t *testing.T) {
-	db, bounds := smallDB(t)
-	inner, err := engine.Get(engine.DefaultName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gate := make(chan struct{})
-	var mu sync.Mutex
-	var calls int
-	blocked := engine.New(inner.Name(), func(ctx context.Context, d *location.DB, b geo.Rect, p engine.Params) (*lbs.Assignment, error) {
-		mu.Lock()
-		calls++
-		mu.Unlock()
-		<-gate
-		return inner.Anonymize(ctx, d, b, p)
-	})
-	cached := engine.Wrap(blocked, engine.WithCache())
-	const n = 8
-	var wg sync.WaitGroup
-	results := make([]*lbs.Assignment, n)
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = cached.Anonymize(context.Background(), db, bounds, engine.Params{K: 10})
-		}(i)
-	}
-	// Wait until the leader is inside the engine, give the others a
-	// moment to pile onto its flight, then release.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		c := calls
-		mu.Unlock()
-		if c == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("leader never entered the engine")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(10 * time.Millisecond)
-	close(gate)
-	wg.Wait()
-	if calls != 1 {
-		t.Fatalf("%d concurrent identical calls ran the engine %d times, want 1", n, calls)
-	}
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
-		}
-		if results[i] != results[0] {
-			t.Fatalf("caller %d got a different assignment than the leader", i)
-		}
-	}
-}
-
-// TestWithCacheErrorsNotCached: a failed engine run propagates its error
-// to coalesced waiters and leaves no memo entry — the next call retries.
-func TestWithCacheErrorsNotCached(t *testing.T) {
-	db, bounds := smallDB(t)
-	wantErr := errors.New("engine exploded")
-	var calls int
-	failing := engine.New("failing", func(ctx context.Context, d *location.DB, b geo.Rect, p engine.Params) (*lbs.Assignment, error) {
-		calls++
-		if calls == 1 {
-			return nil, wantErr
-		}
-		inner, err := engine.Get(engine.DefaultName)
-		if err != nil {
-			return nil, err
-		}
-		return inner.Anonymize(ctx, d, b, p)
-	})
-	cached := engine.Wrap(failing, engine.WithCache())
-	if _, err := cached.Anonymize(context.Background(), db, bounds, engine.Params{K: 10}); !errors.Is(err, wantErr) {
-		t.Fatalf("first call error = %v, want %v", err, wantErr)
-	}
-	if _, err := cached.Anonymize(context.Background(), db, bounds, engine.Params{K: 10}); err != nil {
-		t.Fatalf("retry after error: %v", err)
-	}
-	if calls != 2 {
-		t.Fatalf("engine ran %d times, want 2 (error not cached)", calls)
 	}
 }

@@ -129,7 +129,7 @@ func TestMaintainerFallbackOnMidBatchFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.anon = narrow
+	m.pub = core.NewPublisher(narrow)
 
 	res, err := m.apply(context.Background(), map[int]geo.Point{3: {X: 3000, Y: 3000}})
 	if err != nil {
@@ -138,13 +138,13 @@ func TestMaintainerFallbackOnMidBatchFailure(t *testing.T) {
 	if !res.fallback {
 		t.Fatalf("fallback not reported: %+v", res)
 	}
-	if res.strategy != StrategyRebuild || res.delta {
-		t.Fatalf("fallback result: strategy %q delta %v", res.strategy, res.delta)
+	if res.strategy != StrategyRebuild || res.Delta {
+		t.Fatalf("fallback result: strategy %q delta %v", res.strategy, res.Delta)
 	}
-	if got := res.policy.DB().At(3).Loc; got != (geo.Point{X: 3000, Y: 3000}) {
+	if got := res.Policy.DB().At(3).Loc; got != (geo.Point{X: 3000, Y: 3000}) {
 		t.Fatalf("published record 3 at %v after fallback", got)
 	}
-	if m.lastPub != res.policy {
+	if m.pub.Anchored() != res.Policy {
 		t.Fatal("fallback publish did not re-anchor the delta chain")
 	}
 	// The next batch rides the re-anchored chain as a delta.
@@ -152,8 +152,8 @@ func TestMaintainerFallbackOnMidBatchFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res2.delta || res2.fallback {
-		t.Fatalf("post-fallback batch: delta %v fallback %v", res2.delta, res2.fallback)
+	if !res2.Delta || res2.fallback {
+		t.Fatalf("post-fallback batch: delta %v fallback %v", res2.Delta, res2.fallback)
 	}
 }
 
@@ -180,36 +180,41 @@ func TestMaintainerDeltaMismatchSelfHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.delta {
+	if !res.Delta {
 		t.Fatalf("second batch did not publish a delta: %+v", res)
 	}
 
-	// Corrupt the chain: replace lastPub with an assignment whose record 0
-	// sits elsewhere inside its cloak. The next batch's From for record 0
+	// Corrupt the chain: anchor it on an assignment whose record 0 sits
+	// elsewhere inside its cloak. The next batch's From for record 0
 	// (captured from the live DB) won't match this parent.
-	bad := m.lastPub.DB().Clone()
-	cl := m.lastPub.CloakAt(0)
+	last := m.pub.Anchored()
+	bad := last.DB().Clone()
+	cl := last.CloakAt(0)
 	other := geo.Point{X: cl.MinX, Y: cl.MinY}
 	if other == bad.At(0).Loc {
 		other = geo.Point{X: cl.MaxX, Y: cl.MaxY}
 	}
 	bad.MoveAt(0, other)
-	m.lastPub, err = lbs.NewAssignment(bad, m.lastPub.Cloaks())
+	corrupt, err := lbs.NewAssignment(bad, last.Cloaks())
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.pub.Anchor(corrupt)
 
 	res, err = m.apply(ctx, map[int]geo.Point{0: {X: 12, Y: 12}})
 	if err != nil {
 		t.Fatalf("mismatched delta should self-heal, got: %v", err)
 	}
-	if res.delta || res.fallback {
-		t.Fatalf("mismatched batch published delta=%v fallback=%v, want full incremental publish", res.delta, res.fallback)
+	if res.Delta || res.fallback {
+		t.Fatalf("mismatched batch published delta=%v fallback=%v, want full incremental publish", res.Delta, res.fallback)
 	}
 	if res.strategy != StrategyIncremental {
 		t.Fatalf("strategy %q", res.strategy)
 	}
-	if got := m.lastPub.DB().At(0).Loc; got != (geo.Point{X: 12, Y: 12}) {
+	if m.pub.Anchored() != res.Policy {
+		t.Fatal("self-healed publish did not re-anchor the chain")
+	}
+	if got := res.Policy.DB().At(0).Loc; got != (geo.Point{X: 12, Y: 12}) {
 		t.Fatalf("re-anchored publish has record 0 at %v", got)
 	}
 	// Chain is intact again.
@@ -217,7 +222,7 @@ func TestMaintainerDeltaMismatchSelfHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.delta {
+	if !res.Delta {
 		t.Fatalf("chain did not re-anchor after self-heal: %+v", res)
 	}
 }

@@ -409,7 +409,9 @@ func NewWithState(db *location.DB, bounds geo.Rect, cfg Config, anon *core.Anony
 	if err != nil {
 		return nil, err
 	}
-	m.anon = anon
+	if anon != nil {
+		m.pub = core.NewPublisher(anon)
+	}
 	reg := cfg.Registry
 	p := &Pipeline{
 		cfg:        cfg,
@@ -437,25 +439,29 @@ func NewWithState(db *location.DB, bounds geo.Rect, cfg Config, anon *core.Anony
 // initialSnapshot republishes (or computes) the epoch-1 snapshot.
 func (p *Pipeline) initialSnapshot(policy *lbs.Assignment) (*Snapshot, error) {
 	start := time.Now()
+	var pub *lbs.Assignment
 	if policy == nil {
-		built, _, err := p.m.rebuild(p.cfg.BaseContext)
+		res, err := p.m.applyRebuild(p.cfg.BaseContext, nil)
 		if err != nil {
 			return nil, err
 		}
-		policy = built
+		pub = res.Policy
+	} else {
+		// Rebind to an immutable clone: the caller's policy references the
+		// live DB the maintenance loop is about to mutate.
+		var err error
+		if pub, err = rebind(policy); err != nil {
+			return nil, err
+		}
+		if err := p.m.verifyPub(p.cfg.BaseContext, pub); err != nil {
+			return nil, err
+		}
+		if p.m.pub != nil {
+			// Anchor the adopted matrix's chain: subsequent incremental
+			// batches derive their published assignments from this one.
+			p.m.pub.Anchor(pub)
+		}
 	}
-	// Rebind to an immutable clone: the caller's policy references the
-	// live DB the maintenance loop is about to mutate.
-	pub, err := p.m.rebind(policy)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.m.verifyPub(p.cfg.BaseContext, pub); err != nil {
-		return nil, err
-	}
-	// Anchor the delta chain: subsequent incremental batches derive their
-	// published assignments from this one via ApplyDelta.
-	p.m.lastPub = pub
 	return &Snapshot{
 		Policy:        pub,
 		K:             p.cfg.K,
@@ -715,16 +721,16 @@ func (p *Pipeline) applyBatch(base context.Context, batch []queued) (fellBack bo
 	elapsed := time.Since(start)
 	prev := p.front.Load()
 	next := &Snapshot{
-		Policy:        res.policy,
+		Policy:        res.Policy,
 		K:             p.cfg.K,
 		Bounds:        p.m.bounds,
 		Epoch:         prev.Epoch + 1,
 		Strategy:      string(res.strategy),
 		Moves:         len(coalesced),
-		Rows:          res.rows,
-		RowsExtracted: res.rowsExtracted,
-		CloaksChanged: res.cloaksChanged,
-		Delta:         res.delta,
+		Rows:          res.Rows,
+		RowsExtracted: res.RowsExtracted,
+		CloaksChanged: res.CloaksChanged,
+		Delta:         res.Delta,
 		Fallback:      res.fallback,
 		AppliedAt:     time.Now(),
 		ApplyTime:     elapsed,
@@ -734,10 +740,10 @@ func (p *Pipeline) applyBatch(base context.Context, batch []queued) (fellBack bo
 	// the epoch and copy Stats at adoption time).
 	p.batches.Add(1)
 	p.moves.Add(int64(len(coalesced)))
-	p.rows.Add(int64(res.rows))
-	p.rowsExtracted.Add(int64(res.rowsExtracted))
-	p.cloaksChanged.Add(int64(res.cloaksChanged))
-	if res.delta {
+	p.rows.Add(int64(res.Rows))
+	p.rowsExtracted.Add(int64(res.RowsExtracted))
+	p.cloaksChanged.Add(int64(res.CloaksChanged))
+	if res.Delta {
 		p.deltaPublishes.Add(1)
 	}
 	if res.fallback {
@@ -750,8 +756,8 @@ func (p *Pipeline) applyBatch(base context.Context, batch []queued) (fellBack bo
 	reg := p.cfg.Registry
 	reg.Counter("motion_batches").Inc()
 	reg.Counter("motion_moves").Add(int64(len(coalesced)))
-	reg.Counter("motion_rows_extracted").Add(int64(res.rowsExtracted))
-	reg.Counter("motion_cloaks_changed").Add(int64(res.cloaksChanged))
+	reg.Counter("motion_rows_extracted").Add(int64(res.RowsExtracted))
+	reg.Counter("motion_cloaks_changed").Add(int64(res.CloaksChanged))
 	reg.ValueHistogram("motion_batch_size").Observe(int64(len(coalesced)))
 	reg.Histogram("motion_apply_latency").Observe(elapsed)
 	reg.Gauge("motion_epoch").Set(next.Epoch)
@@ -763,7 +769,7 @@ func (p *Pipeline) applyBatch(base context.Context, batch []queued) (fellBack bo
 		p.rebuilds.Add(1)
 		reg.Counter("motion_apply_rebuild").Inc()
 	}
-	if res.delta {
+	if res.Delta {
 		reg.Counter("motion_delta_publishes").Inc()
 	}
 	if res.fallback {
@@ -772,10 +778,10 @@ func (p *Pipeline) applyBatch(base context.Context, batch []queued) (fellBack bo
 	if sp != nil {
 		sp.SetAttr("strategy", string(res.strategy))
 		sp.SetInt("moves", int64(len(coalesced)))
-		sp.SetInt("rows", int64(res.rows))
-		sp.SetInt("rows_extracted", int64(res.rowsExtracted))
-		sp.SetInt("cloaks_changed", int64(res.cloaksChanged))
-		if res.delta {
+		sp.SetInt("rows", int64(res.Rows))
+		sp.SetInt("rows_extracted", int64(res.RowsExtracted))
+		sp.SetInt("cloaks_changed", int64(res.CloaksChanged))
+		if res.Delta {
 			sp.SetAttr("publish", "delta")
 		} else {
 			sp.SetAttr("publish", "full")
@@ -784,9 +790,9 @@ func (p *Pipeline) applyBatch(base context.Context, batch []queued) (fellBack bo
 	if p.cfg.Logger != nil {
 		p.cfg.Logger.Debug("motion batch applied",
 			"epoch", next.Epoch, "strategy", next.Strategy,
-			"moves", next.Moves, "rows", res.rows,
-			"rowsExtracted", res.rowsExtracted, "cloaksChanged", res.cloaksChanged,
-			"delta", res.delta, "fallback", res.fallback,
+			"moves", next.Moves, "rows", res.Rows,
+			"rowsExtracted", res.RowsExtracted, "cloaksChanged", res.CloaksChanged,
+			"delta", res.Delta, "fallback", res.fallback,
 			"ms", float64(elapsed.Microseconds())/1000)
 	}
 	if n := p.cfg.CheckpointEvery; n > 0 && p.cfg.Checkpoint != nil && p.batches.Load()%int64(n) == 0 {

@@ -103,19 +103,19 @@ type SnapshotReport struct {
 	RowsRecomputed  int
 	// RowsExtracted counts tree nodes the policy-exhibition pass
 	// re-assigned (|D| for full publishes); CloaksChanged counts per-user
-	// cloak rewrites; Delta marks a copy-on-write delta publish (the
-	// continuous-trajectory mode's steady state).
-	RowsExtracted int
-	CloaksChanged int
-	Delta         bool
-	PolicyCost      int64
-	AvgCloakArea    float64
-	Requests        int
-	ProviderTrips   int
-	CacheHits       int64
-	MinAnonymity    int
-	FrequencyLeaks  int
-	AvgAnswerSize   float64
+	// cloak rewrites; Delta marks a copy-on-write delta publish (every
+	// movement model's steady state).
+	RowsExtracted  int
+	CloaksChanged  int
+	Delta          bool
+	PolicyCost     int64
+	AvgCloakArea   float64
+	Requests       int
+	ProviderTrips  int
+	CacheHits      int64
+	MinAnonymity   int
+	FrequencyLeaks int
+	AvgAnswerSize  float64
 }
 
 // Report is the outcome of a full run.
@@ -189,111 +189,59 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Every movement model publishes through the one delta-publication
+	// chain: each snapshot extracts only the changed cloaks and derives the
+	// next published policy copy-on-write, so a small batch of moves costs
+	// O(dirty subtrees) instead of O(|D|).
+	chain := core.NewPublisher(anon)
 	var stream *workload.MoveStream
 	if cfg.Continuous && !cfg.RoadNetwork {
 		stream = workload.NewMoveStream(cfg.Seed+2, db, cfg.MaxMoveMeters, cfg.MapSide)
 	}
 	report := &Report{Config: cfg}
-	// lastPub anchors the continuous mode's delta-publication chain: while
-	// it is intact, each snapshot extracts only the changed cloaks and
-	// derives the next published policy copy-on-write, so a small batch of
-	// trajectory moves costs O(dirty subtrees) instead of O(|D|).
-	var lastPub *lbs.Assignment
 	for s := 0; s < cfg.Snapshots; s++ {
 		// 1. Movement + incremental maintenance.
 		start := time.Now()
-		rows := 0
-		var mvs []lbs.Move
 		if s > 0 {
-			if agents != nil {
+			var moves []workload.Move
+			switch {
+			case agents != nil:
 				agents.Step(cfg.SnapshotSeconds)
 				for i, p := range agents.Positions() {
 					if db.At(i).Loc != p {
-						if err := anon.Move(i, p); err != nil {
-							return nil, err
-						}
+						moves = append(moves, workload.Move{Index: i, To: p})
 					}
 				}
-			} else if stream != nil {
+			case stream != nil:
 				// Continuous trajectories: the same 5% of users per
 				// interval, but each from its previous emitted position.
-				n := cfg.Users / 20
-				if n < 1 {
-					n = 1
-				}
-				batch := stream.NextBatch(n)
-				if lastPub != nil {
-					// Coalesce per user, keeping the first From: that is
-					// the location the published parent still holds.
-					coalesced := make(map[int]lbs.Move, len(batch))
-					for _, mv := range batch {
-						c, ok := coalesced[mv.Index]
-						if !ok {
-							c = lbs.Move{Index: mv.Index, From: db.At(mv.Index).Loc}
-						}
-						c.To = mv.To
-						coalesced[mv.Index] = c
-					}
-					mvs = make([]lbs.Move, 0, len(coalesced))
-					for _, mv := range coalesced {
-						mvs = append(mvs, mv)
-					}
-				}
-				for _, mv := range batch {
-					if err := anon.Move(mv.Index, mv.To); err != nil {
-						return nil, err
-					}
-				}
-			} else {
-				moves := workload.PlanMoves(rng, db, 0.05, cfg.MaxMoveMeters, cfg.MapSide)
-				for _, mv := range moves {
-					if err := anon.Move(mv.Index, mv.To); err != nil {
-						return nil, err
-					}
-				}
+				moves = stream.NextBatch(max(cfg.Users/20, 1))
+			default:
+				moves = workload.PlanMoves(rng, db, 0.05, cfg.MaxMoveMeters, cfg.MapSide)
 			}
-			rows = anon.Refresh()
-		}
-		var (
-			policy        *lbs.Assignment
-			rowsExtracted int
-			cloaksChanged int
-			isDelta       bool
-		)
-		if lastPub != nil && s > 0 {
-			if changes, visited, derr := anon.Matrix().ExtractDelta(); derr == nil {
-				if pub, aerr := lastPub.ApplyDelta(mvs, changes); aerr == nil {
-					policy, rowsExtracted, cloaksChanged, isDelta = pub, visited, len(changes), true
-				} else {
-					lastPub = nil // chain mismatch: republish from scratch
-				}
-			}
-		}
-		if policy == nil {
-			full, err := anon.Policy()
-			if err != nil {
-				return nil, err
-			}
-			policy = full
-			if stream != nil {
-				// Rebind to an immutable clone so the next snapshot can
-				// derive from this one while the live DB keeps mutating.
-				pub, err := lbs.NewAssignment(db.Clone(), full.Cloaks())
-				if err != nil {
+			for _, mv := range moves {
+				if err := chain.Move(mv.Index, mv.To); err != nil {
 					return nil, err
 				}
-				policy = pub
 			}
-			rowsExtracted, cloaksChanged = policy.Len(), policy.Len()
 		}
-		if stream != nil {
-			lastPub = policy
+		// Verify rather than trust before installing the policy; the
+		// verification is timed apart from maintenance.
+		var verifyTime time.Duration
+		pub, err := chain.Publish(func(a *lbs.Assignment) error {
+			vstart := time.Now()
+			rep := verify.Policy(a, cfg.K)
+			verifyTime = time.Since(vstart)
+			if !rep.OK() {
+				return fmt.Errorf("sim: snapshot %d policy failed verification: %s", s, rep.Problems[0])
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		maintenance := time.Since(start)
-		// Verify rather than trust before installing the policy.
-		if rep := verify.Policy(policy, cfg.K); !rep.OK() {
-			return nil, fmt.Errorf("sim: snapshot %d policy failed verification: %s", s, rep.Problems[0])
-		}
+		maintenance := time.Since(start) - verifyTime
+		policy := pub.Policy
 
 		// 2. Fresh provider + caching CSP for this snapshot epoch.
 		provider := lbs.NewRecordingProvider(lbs.NewPOIProvider(store))
@@ -339,10 +287,10 @@ func Run(cfg Config) (*Report, error) {
 		sr := SnapshotReport{
 			Snapshot:        s,
 			MaintenanceTime: maintenance,
-			RowsRecomputed:  rows,
-			RowsExtracted:   rowsExtracted,
-			CloaksChanged:   cloaksChanged,
-			Delta:           isDelta,
+			RowsRecomputed:  pub.Rows,
+			RowsExtracted:   pub.RowsExtracted,
+			CloaksChanged:   pub.CloaksChanged,
+			Delta:           pub.Delta,
 			PolicyCost:      policy.Cost(),
 			AvgCloakArea:    policy.AvgArea(),
 			Requests:        requests,
