@@ -220,11 +220,6 @@ func (a *Auditor) SetLedger(l *ledger.Ledger) {
 	a.led.Store(l)
 }
 
-// Ledger returns the attached ledger, or nil.
-func (a *Auditor) Ledger() *ledger.Ledger {
-	return a.led.Load()
-}
-
 // SetFlight attaches a flight recorder: every breach is emitted as a
 // notable event carrying the request and trace IDs, and the enclosing
 // capture (if a traced request is in flight) is marked "breach" so the

@@ -315,61 +315,6 @@ func TestReportWindowAndPercentiles(t *testing.T) {
 	}
 }
 
-func TestMergeReports(t *testing.T) {
-	a := audit.Report{
-		SampleRate: 0.25, WindowCap: 4, WindowSamples: 4,
-		PolicyAudits: 2, RequestAudits: 10, Skipped: 30,
-		Aware:   audit.KStats{Count: 4, Min: 3, P50: 5, P95: 9, Max: 9, Breaches: 1},
-		Unaware: audit.KStats{Count: 4, Min: 4, P50: 6, P95: 10, Max: 10},
-		Engines: []string{"casper"}, AvgCloakArea: 8,
-	}
-	b := audit.Report{
-		SampleRate: 0.25, WindowCap: 4, WindowSamples: 2,
-		PolicyAudits: 1, RequestAudits: 5, Skipped: 15,
-		Aware:   audit.KStats{Count: 2, Min: 2, P50: 8, P95: 12, Max: 12, Breaches: 2},
-		Unaware: audit.KStats{Count: 2, Min: 5, P50: 7, P95: 11, Max: 11},
-		Engines: []string{"bulkdp"}, AvgCloakArea: 2,
-	}
-	m := audit.Merge(a, b)
-	if m.Shards != 2 {
-		t.Errorf("shards = %d, want 2", m.Shards)
-	}
-	if m.PolicyAudits != 3 || m.RequestAudits != 15 || m.Skipped != 45 {
-		t.Errorf("counters %+v not summed", m)
-	}
-	if m.Aware.Min != 2 || m.Aware.Max != 12 || m.Aware.Breaches != 3 {
-		t.Errorf("aware extrema/breaches %+v", m.Aware)
-	}
-	if m.Unaware.Min != 4 || m.Unaware.Max != 11 {
-		t.Errorf("unaware extrema %+v", m.Unaware)
-	}
-	// Count-weighted p50: (4*5 + 2*8) / 6 = 6.
-	if m.Aware.P50 != 6 {
-		t.Errorf("merged aware p50 = %d, want 6", m.Aware.P50)
-	}
-	// Weighted area: (4*8 + 2*2) / 6 = 6.
-	if m.AvgCloakArea != 6 {
-		t.Errorf("merged avg area = %v, want 6", m.AvgCloakArea)
-	}
-	if len(m.Engines) != 2 || m.Engines[0] != "bulkdp" || m.Engines[1] != "casper" {
-		t.Errorf("merged engines %v", m.Engines)
-	}
-
-	// Regression: a shard with only aware samples must not poison the
-	// min of a later shard's unaware samples (and vice versa).
-	onlyAware := audit.Report{Aware: audit.KStats{Count: 1, Min: 7, P50: 7, P95: 7, Max: 7}}
-	onlyUnaware := audit.Report{Unaware: audit.KStats{Count: 1, Min: 9, P50: 9, P95: 9, Max: 9}}
-	m = audit.Merge(onlyAware, onlyUnaware)
-	if m.Aware.Min != 7 || m.Unaware.Min != 9 {
-		t.Fatalf("asymmetric shard merge lost a min: aware %d unaware %d, want 7/9", m.Aware.Min, m.Unaware.Min)
-	}
-
-	empty := audit.Merge()
-	if empty.Shards != 0 || empty.Aware.Count != 0 {
-		t.Errorf("empty merge %+v", empty)
-	}
-}
-
 func TestRequestIDs(t *testing.T) {
 	a, b := audit.MintRequestID(), audit.MintRequestID()
 	if a == "" || a == b {
@@ -452,72 +397,3 @@ func TestConcurrentAuditor(t *testing.T) {
 type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
-
-func TestMergeEdgeCases(t *testing.T) {
-	// An entirely empty shard report (fresh server, no traffic yet) must
-	// not clobber the merged min or produce zero counts: Merge skips
-	// Count==0 shards for order statistics but still counts the shard.
-	loaded := audit.Report{
-		SampleRate: 0.5, WindowCap: 8, WindowSamples: 3,
-		PolicyAudits: 1, RequestAudits: 2,
-		Aware:   audit.KStats{Count: 3, Min: 4, P50: 5, P95: 6, Max: 6, Breaches: 1},
-		Unaware: audit.KStats{Count: 3, Min: 6, P50: 7, P95: 8, Max: 8},
-		Engines: []string{"bulkdp"}, AvgCloakArea: 10,
-	}
-	m := audit.Merge(audit.Report{}, loaded, audit.Report{})
-	if m.Shards != 3 {
-		t.Errorf("shards = %d, want 3", m.Shards)
-	}
-	if m.Aware.Min != 4 || m.Aware.Count != 3 || m.Aware.Breaches != 1 {
-		t.Errorf("empty shards perturbed aware stats: %+v", m.Aware)
-	}
-	if m.Unaware.Min != 6 {
-		t.Errorf("empty shards perturbed unaware min: %+v", m.Unaware)
-	}
-	if m.AvgCloakArea != 10 {
-		t.Errorf("empty shards perturbed avg area: %v", m.AvgCloakArea)
-	}
-
-	// Shards with differing achieved-k: the merged min must be the exact
-	// minimum across shards, never a weighted average — min-k is the
-	// guarantee the paper is about, so it cannot be approximated.
-	low := audit.Report{Aware: audit.KStats{Count: 1, Min: 2, P50: 2, P95: 2, Max: 2}}
-	high := audit.Report{Aware: audit.KStats{Count: 99, Min: 50, P50: 50, P95: 50, Max: 50}}
-	m = audit.Merge(high, low)
-	if m.Aware.Min != 2 {
-		t.Fatalf("merged min-k = %d, want exact 2 (one shard's weak floor must dominate)", m.Aware.Min)
-	}
-	if m.Aware.Max != 50 {
-		t.Errorf("merged max = %d, want 50", m.Aware.Max)
-	}
-	// The weighted percentile must still lean toward the heavy shard.
-	if m.Aware.P50 < 40 {
-		t.Errorf("merged p50 = %d, want count-weighted (~50)", m.Aware.P50)
-	}
-
-	// Overlapping rolling windows: two shards that audited the same
-	// traffic (e.g. replicas behind a round-robin) sum their counts —
-	// Merge documents count-weighted semantics, and must not panic or
-	// drop either window.
-	m = audit.Merge(loaded, loaded)
-	if m.Aware.Count != 6 || m.WindowSamples != 6 {
-		t.Errorf("overlapping windows: count=%d samples=%d, want 6/6", m.Aware.Count, m.WindowSamples)
-	}
-	if m.Aware.Min != 4 || m.Aware.P50 != 5 {
-		t.Errorf("overlapping windows changed stats: %+v", m.Aware)
-	}
-
-	// Ledger roots concatenate across shards, preserving worker labels.
-	withRoot := func(worker, root string) audit.Report {
-		return audit.Report{LedgerRoots: []audit.LedgerRoot{{
-			Worker: worker, BatchSeq: 1, Events: 3, ChainRoot: root, SealedMs: 1,
-		}}}
-	}
-	m = audit.Merge(withRoot("w1", "aa"), audit.Report{}, withRoot("w2", "bb"))
-	if len(m.LedgerRoots) != 2 {
-		t.Fatalf("merged ledger roots = %d, want 2", len(m.LedgerRoots))
-	}
-	if m.LedgerRoots[0].Worker != "w1" || m.LedgerRoots[1].ChainRoot != "bb" {
-		t.Errorf("ledger root concat order lost: %+v", m.LedgerRoots)
-	}
-}

@@ -38,25 +38,16 @@ type Report struct {
 	AvgCloakArea float64 `json:"avgCloakArea"`
 	// Engines lists every engine observed since creation, sorted.
 	Engines []string `json:"engines"`
-	// Shards is the number of per-shard reports merged into this one
-	// (0 for a single-server report). On merged reports the percentiles
-	// are count-weighted means of the shard percentiles — an
-	// approximation; Min/Max/counts/breaches are exact.
-	Shards int `json:"shards,omitempty"`
-	// LedgerRoots lists the latest sealed tamper-evident ledger checkpoint
-	// per shard (at most one entry for a single-server report, absent when
-	// the ledger is disabled or nothing has sealed yet). Merge
-	// concatenates, so a coordinator report carries every shard's root.
+	// LedgerRoots holds the latest sealed tamper-evident ledger
+	// checkpoint: at most one entry, absent when the ledger is disabled or
+	// nothing has sealed yet.
 	LedgerRoots []LedgerRoot `json:"ledgerRoots,omitempty"`
 }
 
-// LedgerRoot is one shard's latest sealed ledger checkpoint, enough to
-// pin its chain head: fetch the full signed checkpoint and proofs from
-// the shard's /v1/audit/root and /v1/audit/proof endpoints.
+// LedgerRoot is the latest sealed ledger checkpoint, enough to pin the
+// chain head: fetch the full signed checkpoint and proofs from
+// /v1/audit/root and /v1/audit/proof.
 type LedgerRoot struct {
-	// Worker is the shard's base URL; empty on a single-server report
-	// (the coordinator stamps it when merging).
-	Worker    string `json:"worker,omitempty"`
 	BatchSeq  uint64 `json:"batchSeq"`
 	Events    uint64 `json:"events"`
 	ChainRoot string `json:"chainRoot"`
@@ -152,83 +143,4 @@ func nearestRank(sorted []int, q float64) int {
 		i = len(sorted) - 1
 	}
 	return sorted[i]
-}
-
-// Merge folds per-shard reports into one cluster-wide report: counts,
-// breach totals, and extrema are exact sums/min/max; percentiles are
-// count-weighted means of the shard percentiles (exact merging would need
-// the raw windows); the sample rate is taken from the first shard that
-// reports one. Shard reports with empty windows contribute only their
-// counters.
-func Merge(reports ...Report) Report {
-	var out Report
-	out.Shards = len(reports)
-	engines := make(map[string]bool)
-	var awareW, unawareW, areaW float64 // count-weighted percentile sums
-	var p50A, p95A, p50U, p95U float64
-	firstAware, firstUnaware := true, true
-	for _, r := range reports {
-		if out.SampleRate == 0 {
-			out.SampleRate = r.SampleRate
-		}
-		out.WindowCap += r.WindowCap
-		out.WindowSamples += r.WindowSamples
-		out.PolicyAudits += r.PolicyAudits
-		out.RequestAudits += r.RequestAudits
-		out.Skipped += r.Skipped
-		out.Aware.Breaches += r.Aware.Breaches
-		out.Unaware.Breaches += r.Unaware.Breaches
-		for _, e := range r.Engines {
-			engines[e] = true
-		}
-		if r.Aware.Count > 0 {
-			w := float64(r.Aware.Count)
-			out.Aware.Count += r.Aware.Count
-			p50A += w * float64(r.Aware.P50)
-			p95A += w * float64(r.Aware.P95)
-			awareW += w
-			if firstAware || r.Aware.Min < out.Aware.Min {
-				out.Aware.Min = r.Aware.Min
-			}
-			if r.Aware.Max > out.Aware.Max {
-				out.Aware.Max = r.Aware.Max
-			}
-			firstAware = false
-		}
-		if r.Unaware.Count > 0 {
-			w := float64(r.Unaware.Count)
-			out.Unaware.Count += r.Unaware.Count
-			p50U += w * float64(r.Unaware.P50)
-			p95U += w * float64(r.Unaware.P95)
-			unawareW += w
-			if firstUnaware || r.Unaware.Min < out.Unaware.Min {
-				out.Unaware.Min = r.Unaware.Min
-			}
-			if r.Unaware.Max > out.Unaware.Max {
-				out.Unaware.Max = r.Unaware.Max
-			}
-			firstUnaware = false
-		}
-		if r.WindowSamples > 0 {
-			areaW += float64(r.WindowSamples) * r.AvgCloakArea
-		}
-		out.LedgerRoots = append(out.LedgerRoots, r.LedgerRoots...)
-	}
-	if awareW > 0 {
-		out.Aware.P50 = int(p50A/awareW + 0.5)
-		out.Aware.P95 = int(p95A/awareW + 0.5)
-	}
-	if unawareW > 0 {
-		out.Unaware.P50 = int(p50U/unawareW + 0.5)
-		out.Unaware.P95 = int(p95U/unawareW + 0.5)
-	}
-	if out.WindowSamples > 0 {
-		out.AvgCloakArea = areaW / float64(out.WindowSamples)
-	}
-	out.Engines = make([]string, 0, len(engines))
-	for e := range engines {
-		out.Engines = append(out.Engines, e)
-	}
-	sort.Strings(out.Engines)
-	return out
 }

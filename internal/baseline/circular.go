@@ -34,9 +34,6 @@ func NewCircleAssignment(db *location.DB, circles []geo.Circle) (*CircleAssignme
 	return &CircleAssignment{db: db, circles: circles}, nil
 }
 
-// DB returns the underlying snapshot.
-func (ca *CircleAssignment) DB() *location.DB { return ca.db }
-
 // CircleAt returns the cloak of the i-th record.
 func (ca *CircleAssignment) CircleAt(i int) geo.Circle { return ca.circles[i] }
 

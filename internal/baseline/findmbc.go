@@ -96,9 +96,6 @@ func kNearest(db *location.DB, grid *location.Grid, bounds geo.Rect, i, k int) [
 	}
 }
 
-// DB returns the underlying snapshot.
-func (m *MBCAssignment) DB() *location.DB { return m.db }
-
 // CircleAt returns user i's cloak.
 func (m *MBCAssignment) CircleAt(i int) geo.FCircle { return m.circles[i] }
 

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -30,7 +29,6 @@ import (
 	"policyanon/internal/location"
 	"policyanon/internal/metrics"
 	"policyanon/internal/obs"
-	"policyanon/internal/obs/flight"
 	"policyanon/internal/parallel"
 	"policyanon/internal/verify"
 )
@@ -42,23 +40,10 @@ const shardAttempts = 2
 
 // Coordinator drives a pool of anonymization servers.
 type Coordinator struct {
-	workers   []string // base URLs, e.g. "http://10.0.0.7:8080"
-	client    *http.Client
-	reg       *metrics.Registry
-	engine    string // engine name shipped with shard snapshots; "" = worker default
-	dpWorkers int    // intra-tree DP worker budget per shard; 0 = worker default
-
-	// routes is the serving-side routing table built by the last
-	// successful Anonymize: which worker holds which jurisdiction's
-	// shard, in jurisdiction order. ServeBatch and SeedPOIs consult it.
-	routeMu sync.RWMutex
-	routes  []route
-}
-
-// route maps one jurisdiction to the worker holding its shard.
-type route struct {
-	jur    geo.Rect
-	worker string
+	workers []string // base URLs, e.g. "http://10.0.0.7:8080"
+	client  *http.Client
+	reg     *metrics.Registry
+	engine  string // engine name shipped with shard snapshots; "" = worker default
 }
 
 // New returns a coordinator over the given worker base URLs. client may be
@@ -82,20 +67,6 @@ func New(workers []string, client *http.Client) (*Coordinator, error) {
 // name is validated by the workers (they may register engines this binary
 // does not link), so no local check is performed.
 func (c *Coordinator) UseEngine(name string) { c.engine = name }
-
-// Engine returns the engine name shipped with shard snapshots ("" when
-// workers use their own default).
-func (c *Coordinator) Engine() string { return c.engine }
-
-// UseWorkers sets the intra-tree DP worker budget shipped with every
-// shard snapshot (the "workers" engine option, core.Options.Workers on
-// the worker's machine). Each shard is a whole jurisdiction on its own
-// server, so the budget is per shard, not divided; 0 restores the
-// workers' own default (their automatic GOMAXPROCS policy).
-func (c *Coordinator) UseWorkers(n int) { c.dpWorkers = n }
-
-// Workers returns the per-shard DP worker budget (0 = worker default).
-func (c *Coordinator) Workers() int { return c.dpWorkers }
 
 // Metrics exposes the coordinator's registry: per-worker shard wall-time
 // histograms ("cluster_shard:<worker>"), retry counters
@@ -127,61 +98,12 @@ func (c *Coordinator) Healthy(ctx context.Context) (down []string) {
 	return down
 }
 
-// AuditReport fetches every worker's /v1/audit privacy report and merges
-// them into one fleet-wide view (audit.Merge semantics: exact counts,
-// breaches, and min/max; count-weighted percentile approximation).
-// Unreachable workers fail the call — a fleet privacy report with silent
-// holes would overstate the guarantee.
-func (c *Coordinator) AuditReport(ctx context.Context) (audit.Report, error) {
-	reports := make([]audit.Report, 0, len(c.workers))
-	for _, w := range c.workers {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, w+"/v1/audit", nil)
-		if err != nil {
-			return audit.Report{}, err
-		}
-		forwardRequestID(ctx, req)
-		resp, err := c.client.Do(req)
-		if err != nil {
-			return audit.Report{}, fmt.Errorf("cluster: audit fetch %s: %w", w, err)
-		}
-		var rep audit.Report
-		err = json.NewDecoder(resp.Body).Decode(&rep)
-		resp.Body.Close()
-		if err != nil {
-			return audit.Report{}, fmt.Errorf("cluster: audit decode %s: %w", w, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			return audit.Report{}, fmt.Errorf("cluster: audit fetch %s: %s", w, resp.Status)
-		}
-		// A single-server report leaves Worker empty; the coordinator knows
-		// which shard it fetched from, so stamp the URL before merging —
-		// the merged report then pins every shard's ledger chain head.
-		for i := range rep.LedgerRoots {
-			if rep.LedgerRoots[i].Worker == "" {
-				rep.LedgerRoots[i].Worker = w
-			}
-		}
-		reports = append(reports, rep)
-	}
-	return audit.Merge(reports...), nil
-}
-
-// forwardRequestID propagates the coordinator's request ID — and, when
-// the call tree runs inside a trace capture, its trace context — to a
-// worker RPC. The worker adopts the X-Trace-ID as its own capture
-// identity (and always retains the resulting trace, because propagated
-// legs must be fetchable later), and records X-Parent-Span as the
-// coordinator-side span its call tree hangs under, which is what lets
-// StitchTrace reassemble one tree from many processes.
+// forwardRequestID propagates the coordinator's request ID to a worker
+// RPC, so one ID correlates the whole distributed anonymization in every
+// worker's logs.
 func forwardRequestID(ctx context.Context, req *http.Request) {
 	if rid := audit.RequestID(ctx); rid != "" {
 		req.Header.Set("X-Request-ID", rid)
-	}
-	if cap := obs.CaptureFrom(ctx); cap != nil {
-		req.Header.Set(flight.TraceIDHeader, cap.TraceID())
-		if sp := obs.Current(ctx); sp != nil {
-			req.Header.Set(flight.ParentSpanHeader, strconv.FormatUint(sp.ID(), 10))
-		}
 	}
 }
 
@@ -321,18 +243,6 @@ func (c *Coordinator) Anonymize(ctx context.Context, db *location.DB, bounds geo
 	if !rep.Masking || !rep.PolicyUnaware || (wantAware && !rep.PolicyAware) {
 		return nil, fmt.Errorf("cluster: assembled policy failed verification: %s", rep.Problems[0])
 	}
-	// The shards are installed and verified: record which worker owns
-	// which jurisdiction so the serving path can route requests.
-	routes := make([]route, 0, len(jur))
-	for j := range jur {
-		if len(shards[j]) == 0 {
-			continue
-		}
-		routes = append(routes, route{jur: jur[j], worker: c.workers[j%len(c.workers)]})
-	}
-	c.routeMu.Lock()
-	c.routes = routes
-	c.routeMu.Unlock()
 	return policy, nil
 }
 
@@ -361,9 +271,6 @@ func (c *Coordinator) anonymizeShard(ctx context.Context, worker string, jur geo
 	snap := map[string]any{"k": k, "mapSide": side, "users": local}
 	if c.engine != "" {
 		snap["engine"] = c.engine
-	}
-	if c.dpWorkers != 0 {
-		snap["opts"] = map[string]string{"workers": strconv.Itoa(c.dpWorkers)}
 	}
 	body, err := json.Marshal(snap)
 	if err != nil {
@@ -460,14 +367,6 @@ func (c *Coordinator) AnonymizeWithFailover(ctx context.Context, db *location.DB
 	if err != nil {
 		return nil, err
 	}
-	// Adopt the degraded deployment's routing table: requests must go to
-	// the healthy workers that actually hold the shards.
-	sub.routeMu.RLock()
-	routes := sub.routes
-	sub.routeMu.RUnlock()
-	c.routeMu.Lock()
-	c.routes = routes
-	c.routeMu.Unlock()
 	return pol, fmt.Errorf("%w: %d of %d workers down: %s",
 		ErrDegraded, len(down), len(c.workers), strings.Join(down, ", "))
 }
@@ -480,263 +379,4 @@ func squareSide(jur geo.Rect) int64 {
 		side = jur.Height()
 	}
 	return side
-}
-
-// snapshotRoutes returns the routing table from the last successful
-// Anonymize, or an error before any deployment exists.
-func (c *Coordinator) snapshotRoutes() ([]route, error) {
-	c.routeMu.RLock()
-	routes := c.routes
-	c.routeMu.RUnlock()
-	if len(routes) == 0 {
-		return nil, fmt.Errorf("cluster: no deployment: Anonymize must succeed before serving")
-	}
-	return routes, nil
-}
-
-// poiJSON mirrors the server's POI wire format.
-type poiJSON struct {
-	ID       string `json:"id"`
-	X        int32  `json:"x"`
-	Y        int32  `json:"y"`
-	Category string `json:"category"`
-}
-
-// SeedPOIs distributes the global POI set across the worker pool: each
-// worker receives the points of interest inside its jurisdiction,
-// translated into jurisdiction-local coordinates, via POST /v1/pois.
-// Every routed worker is seeded — an empty jurisdiction-local store is
-// still installed so the worker's serving path comes up. POIs outside
-// every jurisdiction are skipped; the count of installed POIs is
-// returned.
-func (c *Coordinator) SeedPOIs(ctx context.Context, pois []lbs.POI) (int, error) {
-	routes, err := c.snapshotRoutes()
-	if err != nil {
-		return 0, err
-	}
-	groups := make([][]poiJSON, len(routes))
-	installed := 0
-	for _, p := range pois {
-		for j, rt := range routes {
-			if rt.jur.Contains(p.Loc) {
-				groups[j] = append(groups[j], poiJSON{
-					ID: p.ID, X: p.Loc.X - rt.jur.MinX, Y: p.Loc.Y - rt.jur.MinY,
-					Category: p.Category,
-				})
-				installed++
-				break
-			}
-		}
-	}
-	for j, rt := range routes {
-		if groups[j] == nil {
-			groups[j] = []poiJSON{}
-		}
-		body, err := json.Marshal(map[string]any{"mapSide": squareSide(rt.jur), "pois": groups[j]})
-		if err != nil {
-			return 0, err
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, rt.worker+"/v1/pois", bytes.NewReader(body))
-		if err != nil {
-			return 0, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		forwardRequestID(ctx, req)
-		resp, err := c.client.Do(req)
-		if err != nil {
-			return 0, fmt.Errorf("cluster: seed POIs on %s: %w", rt.worker, err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return 0, fmt.Errorf("cluster: seed POIs on %s: %s", rt.worker, resp.Status)
-		}
-	}
-	return installed, nil
-}
-
-// ServeResult is one routed request's outcome, at the submitting index.
-// A per-request failure (unknown user, spoofed location, unroutable
-// coordinates) sets Err and leaves its neighbours intact, mirroring the
-// per-item semantics of the workers' batch endpoint.
-type ServeResult struct {
-	Worker     string
-	Cloak      geo.Rect
-	Candidates []lbs.POI
-	Err        error
-}
-
-// serviceRequestJSON and batchItemJSON mirror the server's batch wire
-// format (server.ServiceRequestJSON in, the items of internal/server's
-// appendItem out).
-type serviceRequestJSON struct {
-	User   string      `json:"user"`
-	X      int32       `json:"x"`
-	Y      int32       `json:"y"`
-	Params []lbs.Param `json:"params,omitempty"`
-}
-
-type batchItemJSON struct {
-	RID   uint64 `json:"rid"`
-	Cloak *struct {
-		MinX int32 `json:"minX"`
-		MinY int32 `json:"minY"`
-		MaxX int32 `json:"maxX"`
-		MaxY int32 `json:"maxY"`
-	} `json:"cloak"`
-	Candidates []poiJSON `json:"candidates"`
-	Error      string    `json:"error"`
-}
-
-// ServeBatch fans a batch of user requests out over the deployment: each
-// request is routed to the worker whose jurisdiction contains the user
-// (coordinates translated into the jurisdiction's local frame), the
-// per-worker groups run as concurrent POST /v1/request/batch calls — one
-// round trip and one snapshot acquisition per worker, with coalescing
-// inside each worker's CSP — and the replies merge back in submission
-// order with cloaks and candidates translated to global coordinates.
-//
-// Workers must have been seeded with POIs (SeedPOIs) after the last
-// Anonymize. A worker-level transport failure fails the whole call, like
-// Anonymize; request-level failures surface per item in ServeResult.Err.
-func (c *Coordinator) ServeBatch(ctx context.Context, reqs []lbs.ServiceRequest) ([]ServeResult, error) {
-	routes, err := c.snapshotRoutes()
-	if err != nil {
-		return nil, err
-	}
-	ctx, sp := obs.Start(ctx, "cluster.serve_batch")
-	if sp != nil {
-		sp.SetInt("requests", int64(len(reqs)))
-		defer sp.End()
-	}
-	results := make([]ServeResult, len(reqs))
-	groups := make([][]int, len(routes))
-	for i, sr := range reqs {
-		placed := false
-		for j, rt := range routes {
-			if rt.jur.Contains(sr.Loc) {
-				groups[j] = append(groups[j], i)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			results[i].Err = fmt.Errorf("cluster: location %v outside every jurisdiction", sr.Loc)
-		}
-	}
-	errs := make([]error, len(routes))
-	var wg sync.WaitGroup
-	for j := range routes {
-		if len(groups[j]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			// A lane span per shard leg: it is the parent the worker's
-			// remote call tree stitches under, and its lane keeps the
-			// concurrent legs on separate rows in Chrome dumps.
-			sctx, ssp := obs.StartLane(ctx, "cluster.serve_shard")
-			ssp.SetAttr("worker", routes[j].worker)
-			ssp.SetInt("requests", int64(len(groups[j])))
-			start := time.Now()
-			errs[j] = c.serveShard(sctx, routes[j], groups[j], reqs, results)
-			ssp.End()
-			c.reg.Histogram("cluster_serve:" + routes[j].worker).Observe(time.Since(start))
-			c.reg.Counter("cluster_batches:" + routes[j].worker).Inc()
-		}(j)
-	}
-	wg.Wait()
-	for j, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("cluster: worker %s batch: %w", routes[j].worker, err)
-		}
-	}
-	return results, nil
-}
-
-// serveShard posts one worker's share of a batch and writes each item's
-// translated result back at its original index. idx holds the global
-// indices of this worker's requests, in order.
-func (c *Coordinator) serveShard(ctx context.Context, rt route, idx []int, reqs []lbs.ServiceRequest, results []ServeResult) error {
-	wire := make([]serviceRequestJSON, len(idx))
-	for n, i := range idx {
-		sr := reqs[i]
-		wire[n] = serviceRequestJSON{
-			User: sr.UserID,
-			X:    sr.Loc.X - rt.jur.MinX, Y: sr.Loc.Y - rt.jur.MinY,
-			Params: sr.Params,
-		}
-	}
-	body, err := json.Marshal(map[string]any{"requests": wire})
-	if err != nil {
-		return err
-	}
-	var items []batchItemJSON
-	for attempt := 1; ; attempt++ {
-		items, err = c.postBatch(ctx, rt.worker, body)
-		if err == nil || attempt >= shardAttempts ||
-			!errors.Is(err, errTransient) || ctx.Err() != nil {
-			break
-		}
-		c.reg.Counter("cluster_retries:" + rt.worker).Inc()
-	}
-	if err != nil {
-		return err
-	}
-	if len(items) != len(idx) {
-		return fmt.Errorf("batch returned %d items for %d requests", len(items), len(idx))
-	}
-	for n, it := range items {
-		i := idx[n]
-		results[i].Worker = rt.worker
-		if it.Error != "" {
-			results[i].Err = errors.New(it.Error)
-			continue
-		}
-		if it.Cloak == nil {
-			results[i].Err = fmt.Errorf("worker returned neither cloak nor error")
-			continue
-		}
-		results[i].Cloak = geo.Rect{
-			MinX: it.Cloak.MinX + rt.jur.MinX, MinY: it.Cloak.MinY + rt.jur.MinY,
-			MaxX: it.Cloak.MaxX + rt.jur.MinX, MaxY: it.Cloak.MaxY + rt.jur.MinY,
-		}
-		cands := make([]lbs.POI, len(it.Candidates))
-		for m, p := range it.Candidates {
-			cands[m] = lbs.POI{
-				ID:       p.ID,
-				Loc:      geo.Point{X: p.X + rt.jur.MinX, Y: p.Y + rt.jur.MinY},
-				Category: p.Category,
-			}
-		}
-		results[i].Candidates = cands
-	}
-	return nil
-}
-
-// postBatch runs one POST /v1/request/batch round trip.
-func (c *Coordinator) postBatch(ctx context.Context, worker string, body []byte) ([]batchItemJSON, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, worker+"/v1/request/batch", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	forwardRequestID(ctx, req)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, transient(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return nil, fmt.Errorf("batch rejected: %s: %s", resp.Status, msg)
-	}
-	var reply struct {
-		Results []batchItemJSON `json:"results"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		return nil, transient(err)
-	}
-	return reply.Results, nil
 }

@@ -277,47 +277,6 @@ func wrongStateHandler(t *testing.T, srv *server.Server, bogus []server.UserJSON
 	})
 }
 
-// TestClusterAuditReport shards a snapshot, then merges the per-worker
-// privacy reports: every shard's policy install is audited on its own
-// server, and the fleet report must aggregate them all with the true
-// fleet-wide minimum.
-func TestClusterAuditReport(t *testing.T) {
-	db, bounds := testSnapshot(t, 2000)
-	const k = 15
-	workers := pool(t, 3)
-	coord, err := New(workers, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol, err := coord.Anonymize(context.Background(), db, bounds, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := coord.AuditReport(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Shards != len(workers) {
-		t.Fatalf("report merged %d shards, want %d", rep.Shards, len(workers))
-	}
-	if rep.PolicyAudits < int64(len(workers)) {
-		t.Fatalf("policy audits = %d, want >= %d (one per shard install)", rep.PolicyAudits, len(workers))
-	}
-	// The fleet-wide minimum over per-shard policies can only improve on
-	// (or match) the assembled master policy's: every shard group is a
-	// master group.
-	_, masterMin := attacker.Audit(pol, k, attacker.PolicyAware)
-	if rep.Aware.Min < k {
-		t.Fatalf("fleet min achieved-k %d breaches k=%d", rep.Aware.Min, k)
-	}
-	if rep.Aware.Min > masterMin {
-		t.Fatalf("fleet min %d exceeds master policy min %d", rep.Aware.Min, masterMin)
-	}
-	if rep.Aware.Breaches != 0 {
-		t.Fatalf("fleet report counts %d breaches on a verified policy", rep.Aware.Breaches)
-	}
-}
-
 // TestClusterForwardsRequestID verifies the coordinator propagates its
 // context's request ID to shard RPCs, so one ID correlates the whole
 // distributed anonymization.
@@ -358,13 +317,10 @@ func TestClusterForwardsRequestID(t *testing.T) {
 	if _, err := coord.Anonymize(ctx, db, bounds, 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.AuditReport(ctx); err != nil {
-		t.Fatal(err)
-	}
 	mu.Lock()
 	defer mu.Unlock()
-	if seen["fleet-rid-3"] < 3 {
-		t.Fatalf("request ID forwarded on %d shard RPCs, want >= 3 (snapshot, checkpoint, audit); seen: %v",
+	if seen["fleet-rid-3"] < 2 {
+		t.Fatalf("request ID forwarded on %d shard RPCs, want >= 2 (snapshot, checkpoint); seen: %v",
 			seen["fleet-rid-3"], seen)
 	}
 	if seen[""] > 0 {

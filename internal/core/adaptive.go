@@ -47,9 +47,6 @@ func NewAdaptiveMatrix(t *tree.Tree, k int, opt Options) (*AdaptiveMatrix, error
 	return m, nil
 }
 
-// Tree returns the underlying quad tree.
-func (m *AdaptiveMatrix) Tree() *tree.Tree { return m.t }
-
 // bound mirrors Matrix.bound using binary-equivalent heights: a square at
 // quad height q sits at binary height 2q, its semi-quadrants at 2q+1.
 func (m *AdaptiveMatrix) boundFor(d int, binHeight int) int32 {

@@ -237,9 +237,6 @@ func (m *Matrix) octx() context.Context {
 // Tree returns the underlying cloaking tree.
 func (m *Matrix) Tree() *tree.Tree { return m.t }
 
-// K returns the anonymity parameter.
-func (m *Matrix) K() int { return m.k }
-
 // OptimalCost returns the cost of an optimal policy-aware sender
 // k-anonymous policy on the snapshot: the minimum cost of a complete
 // configuration with k-summation (Lemmas 2–4). It fails with

@@ -23,8 +23,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 
 	"policyanon/internal/geo"
 	"policyanon/internal/lbs"
@@ -72,27 +70,6 @@ func (p Params) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Key returns a canonical string encoding of the parameters, used by the
-// caching middleware (and usable as a stable report key).
-func (p Params) Key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "k=%d", p.K)
-	if len(p.Ks) > 0 {
-		fmt.Fprintf(&b, ";ks=%v", p.Ks)
-	}
-	if len(p.Opts) > 0 {
-		keys := make([]string, 0, len(p.Opts))
-		for k := range p.Opts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, ";%s=%s", k, p.Opts[k])
-		}
-	}
-	return b.String()
 }
 
 // Opt returns the named engine option, or def when absent.

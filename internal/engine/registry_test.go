@@ -41,29 +41,6 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
-// Key must be canonical: independent of map iteration order, and distinct
-// across distinct parameters (the cache middleware keys memo entries on it).
-func TestParamsKeyCanonical(t *testing.T) {
-	a := engine.Params{K: 5, Opts: map[string]string{"b": "2", "a": "1"}}
-	b := engine.Params{K: 5, Opts: map[string]string{"a": "1", "b": "2"}}
-	if a.Key() != b.Key() {
-		t.Errorf("equal params, different keys: %q vs %q", a.Key(), b.Key())
-	}
-	if !strings.Contains(a.Key(), "a=1") || !strings.Contains(a.Key(), "b=2") {
-		t.Errorf("key %q drops options", a.Key())
-	}
-	distinct := map[string]engine.Params{
-		"k":   {K: 6, Opts: map[string]string{"a": "1", "b": "2"}},
-		"opt": {K: 5, Opts: map[string]string{"a": "1", "b": "3"}},
-		"ks":  {K: 5, Ks: []int{5, 5}, Opts: map[string]string{"a": "1", "b": "2"}},
-	}
-	for what, p := range distinct {
-		if p.Key() == a.Key() {
-			t.Errorf("params differing in %s share key %q", what, a.Key())
-		}
-	}
-}
-
 func TestRegistryRegisterErrors(t *testing.T) {
 	r := engine.NewRegistry()
 	e := engine.New("good", noop)

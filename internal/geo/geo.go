@@ -226,18 +226,6 @@ func (c Circle) String() string {
 	return fmt.Sprintf("circle(%s,r=%.1f)", c.Center, c.Radius)
 }
 
-// MinEnclosingRadius returns the smallest radius centered at c covering all
-// pts, or 0 for an empty slice.
-func MinEnclosingRadius(c Point, pts []Point) float64 {
-	var worst int64
-	for _, p := range pts {
-		if d := c.DistSq(p); d > worst {
-			worst = d
-		}
-	}
-	return math.Sqrt(float64(worst))
-}
-
 func min32(a, b int32) int32 {
 	if a < b {
 		return a

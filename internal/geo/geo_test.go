@@ -174,13 +174,6 @@ func TestCircle(t *testing.T) {
 	if math.Abs(c.Area()-math.Pi*25) > 1e-9 {
 		t.Errorf("Area = %v", c.Area())
 	}
-	r := MinEnclosingRadius(Point{0, 0}, []Point{{1, 0}, {0, -7}, {2, 2}})
-	if r != 7 {
-		t.Errorf("MinEnclosingRadius = %v, want 7", r)
-	}
-	if MinEnclosingRadius(Point{5, 5}, nil) != 0 {
-		t.Error("empty MinEnclosingRadius should be 0")
-	}
 }
 
 // Property: quadrants always partition area, and every contained point falls

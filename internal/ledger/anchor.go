@@ -142,9 +142,6 @@ func (a *FileAnchor) Last() (Checkpoint, bool) {
 	return a.last, a.hasCp
 }
 
-// Path returns the anchor log's path.
-func (a *FileAnchor) Path() string { return a.path }
-
 // Close closes the underlying file. The owning Ledger must be closed
 // first (its final seal still needs the file).
 func (a *FileAnchor) Close() error {

@@ -460,7 +460,7 @@ func TestFileAnchorTamperDetection(t *testing.T) {
 			t.Fatal(err)
 		}
 		b.Events = b.Events[:len(b.Events)-1] // operator drops a record
-		b.Checkpoint.Count = len(b.Events)   // even doctoring the count
+		b.Checkpoint.Count = len(b.Events)    // even doctoring the count
 		doctored, err := json.Marshal(&b)
 		if err != nil {
 			t.Fatal(err)

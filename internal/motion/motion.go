@@ -479,9 +479,6 @@ func (p *Pipeline) initialSnapshot(policy *lbs.Assignment) (*Snapshot, error) {
 // Snapshot returns the currently published snapshot. It never blocks.
 func (p *Pipeline) Snapshot() *Snapshot { return p.front.Load() }
 
-// Policy returns the currently published policy. It never blocks.
-func (p *Pipeline) Policy() *lbs.Assignment { return p.front.Load().Policy }
-
 // Epoch returns the published snapshot's epoch.
 func (p *Pipeline) Epoch() int64 { return p.front.Load().Epoch }
 
@@ -513,13 +510,6 @@ func (p *Pipeline) Stats() Stats {
 		LastVerifyMs:   float64(p.lastVerifyNs.Load()) / 1e6,
 		Closed:         p.isClosed.Load(),
 	}
-}
-
-// Validate checks one update against the published snapshot without
-// enqueueing it. Failures bump the per-reason motion_rejected counters.
-func (p *Pipeline) Validate(u Update) error {
-	_, err := p.validate(u)
-	return err
 }
 
 // validate resolves and checks an update, returning its queued form.

@@ -65,9 +65,6 @@ func (c *Capture) TraceID() string {
 	return c.traceID
 }
 
-// Epoch returns the capture's time origin.
-func (c *Capture) Epoch() time.Time { return c.epoch }
-
 // SetRemoteParent records the caller-side span ID this capture's root
 // spans belong under (trace propagation across an RPC hop).
 func (c *Capture) SetRemoteParent(id uint64) {
@@ -185,17 +182,6 @@ func WithCapture(ctx context.Context, c *Capture) context.Context {
 	carrier := *sp
 	carrier.cap = c
 	return context.WithValue(ctx, ctxKey{}, &carrier)
-}
-
-// WithTracerCapture installs tr and attaches c in one step — the fused
-// form of WithTracer + WithCapture the serving hot path uses: one
-// context value and one carrier allocation instead of two of each. A
-// nil tr returns ctx unchanged; a nil c degrades to WithTracer.
-func WithTracerCapture(ctx context.Context, tr *Tracer, c *Capture) context.Context {
-	if tr == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, &Span{tracer: tr, cap: c})
 }
 
 // StartRootCaptured fuses WithTracerCapture and Start for the serving

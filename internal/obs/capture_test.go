@@ -140,20 +140,3 @@ func TestSpanLimitEvictionConcurrent(t *testing.T) {
 		t.Error("Reset left eviction accounting behind")
 	}
 }
-
-func TestSpanID(t *testing.T) {
-	var nilSpan *Span
-	if nilSpan.ID() != 0 {
-		t.Error("nil span ID != 0")
-	}
-	tr := NewTracer()
-	ctx := WithTracer(context.Background(), tr)
-	if Current(ctx).ID() != 0 {
-		t.Error("placeholder span has nonzero ID")
-	}
-	sctx, sp := Start(ctx, "a")
-	defer sp.End()
-	if sp.ID() == 0 || Current(sctx).ID() != sp.ID() {
-		t.Error("started span ID not exposed via Current")
-	}
-}

@@ -35,7 +35,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 }
 
 // WriteChromeSpans exports an arbitrary span list — a Tracer buffer, one
-// flight-recorder capture, or a stitched cluster trace — in the same
+// flight-recorder capture, or a retained trace from /v1/debug/trace — in the same
 // Chrome trace_event form as WriteChromeTrace.
 func WriteChromeSpans(w io.Writer, spans []SpanRecord) error {
 	events := make([]chromeEvent, 0, len(spans))

@@ -26,10 +26,9 @@ import (
 )
 
 // Trace-context propagation headers. TraceIDHeader extends the existing
-// X-Request-ID threading with a capture identity that survives cluster
-// RPC hops; ParentSpanHeader names the caller-side span the remote
-// call tree hangs under, so a coordinator dump can stitch shard-side
-// spans into one tree. The spellings are textproto-canonical (hence
+// X-Request-ID threading with a capture identity that survives RPC
+// hops; ParentSpanHeader names the caller-side span the remote call
+// tree hangs under. The spellings are textproto-canonical (hence
 // "Id", not "ID") so Header.Get/Set on the per-request hot path never
 // re-canonicalize the key; HTTP header names are case-insensitive, so
 // clients may send X-TRACE-ID or any other casing.
@@ -46,7 +45,7 @@ const (
 	ReasonBreach     = "breach"     // audit sampler observed an anonymity breach
 	ReasonFallback   = "fallback"   // motion maintenance fell back to a full rebuild
 	ReasonFlight     = "flight"     // request led a CSP cache-miss singleflight
-	ReasonPropagated = "propagated" // carried an upstream X-Trace-ID (cluster shard leg)
+	ReasonPropagated = "propagated" // carried an upstream X-Trace-ID
 	ReasonForced     = "forced"     // X-Debug-Trace request header
 )
 
@@ -198,11 +197,6 @@ func (r *Recorder) recompute() {
 		idx = len(buf) - 1
 	}
 	r.thresh.Store(buf[idx])
-}
-
-// Threshold returns the current slow threshold (0 while warming up).
-func (r *Recorder) Threshold() time.Duration {
-	return time.Duration(r.thresh.Load())
 }
 
 // SetThreshold pins the slow threshold, disabling the rolling-p99

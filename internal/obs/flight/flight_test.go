@@ -58,7 +58,7 @@ func TestRollingThreshold(t *testing.T) {
 	for i := 0; i < 2*warmupMin; i++ {
 		r.ObserveLatency(time.Millisecond)
 	}
-	if th := r.Threshold(); th != time.Millisecond {
+	if th := r.Stats().Threshold; th != time.Millisecond {
 		t.Fatalf("Threshold = %v, want 1ms", th)
 	}
 	if !r.ObserveLatency(50 * time.Millisecond) {

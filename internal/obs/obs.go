@@ -53,16 +53,6 @@ type Span struct {
 	attrBuf [3]Attr
 }
 
-// ID returns the span's tracer-unique identifier (0 for a nil span or
-// the placeholder installed by WithTracer). It is what cross-process
-// callers propagate as a parent-span reference.
-func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
 // ctxKey carries the current *Span (whose tracer field identifies the
 // installed Tracer) through a context chain.
 type ctxKey struct{}

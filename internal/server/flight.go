@@ -14,8 +14,8 @@ import (
 // graduates into the flight recorder when anything made it interesting:
 // an error status, latency above the rolling p99-derived threshold, a
 // capture mark voted by a lower layer (audit breach, motion fallback,
-// CSP cache-miss flight), a propagated upstream trace (cluster shard
-// legs must be fetchable by the coordinator's stitcher), or an explicit
+// CSP cache-miss flight), a propagated upstream trace (the caller's leg
+// stays fetchable by its trace ID), or an explicit
 // X-Debug-Trace header. It reports whether the trace was retained, in
 // which case the caller links the latency histogram bucket to the trace
 // ID as an exemplar.

@@ -20,9 +20,6 @@ func (s *Server) EnableLedger(l *ledger.Ledger) {
 	s.aud.SetLedger(l)
 }
 
-// Ledger returns the attached audit ledger, or nil.
-func (s *Server) Ledger() *ledger.Ledger { return s.led.Load() }
-
 // handleAuditRoot serves the latest sealed checkpoint — the signed head
 // of the ledger's Merkle hash chain. Auditors poll it to pin the chain;
 // any later fork or rewrite of sealed history is detectable against a

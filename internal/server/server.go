@@ -66,13 +66,14 @@
 // response), and at request end tail-based sampling retains the span
 // tree of interesting requests — slow against the flight recorder's
 // rolling p99-derived threshold, status >= 400, audit breaches, motion
-// fallbacks, CSP cache-miss flights, propagated cluster legs, or forced
+// fallbacks, CSP cache-miss flights, legs of a caller's trace, or forced
 // with an X-Debug-Trace header — into the flight recorder the debug
 // endpoints serve. Latency histograms carry the retained trace ID as an
 // exemplar, linking any latency spike to a concrete trace.
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -103,11 +104,18 @@ import (
 // Server is the HTTP anonymization service. Create with New and mount via
 // Handler.
 type Server struct {
-	mu         sync.RWMutex
-	k          int
-	bounds     geo.Rect
+	mu     sync.RWMutex
+	k      int
+	bounds geo.Rect
+	// db is the snapshot synchronous /v1/moves maintains, anon its matrix
+	// (incremental engines only, until the first moves hand it to pub) and
+	// pub the publication chain over it. No served policy is bound to a
+	// snapshot a later move writes: the install policy keeps the decoded
+	// snapshot while anon works on a copy-on-write view of it, and every
+	// later policy is bound to an immutable copy.
 	db         *location.DB
-	anon       *core.Anonymizer // non-nil only for incremental engines
+	anon       *core.Anonymizer
+	pub        *core.Publisher
 	policy     *lbs.Assignment
 	csp        *lbs.CSP
 	provider   *lbs.POIProvider
@@ -254,10 +262,6 @@ func (s *Server) Logger() *slog.Logger {
 	return s.logger
 }
 
-// Tracer exposes the server's phase tracer, e.g. to print a phase table
-// on shutdown.
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
-
 // FlightRecorder exposes the server's flight recorder — the retention
 // side of tail-based request sampling.
 func (s *Server) FlightRecorder() *flight.Recorder { return s.recorder }
@@ -276,9 +280,6 @@ func (s *Server) SetFlightRecorder(rec *flight.Recorder) {
 // Off, serving skips trace-context minting, root spans, and tail
 // sampling entirely — the baseline leg of the trace overhead benchmark.
 func (s *Server) SetRequestTracing(on bool) { s.traceReqs.Store(on) }
-
-// RequestTracing reports whether per-request tracing is enabled.
-func (s *Server) RequestTracing() bool { return s.traceReqs.Load() }
 
 // obsCtx threads the server's tracer into a request-scoped context. When
 // instrument already installed it (traced serving routes carry a capture
@@ -368,7 +369,7 @@ func tracedRoute(route string) bool {
 //
 // On the serving routes it also runs the always-on tracing layer: a
 // capture and a root span are opened per request (adopting an incoming
-// X-Trace-ID, so cluster shard legs join their coordinator's trace), and
+// X-Trace-ID, so a caller's RPC legs join its trace), and
 // at request end the tail-sampling decision either retains the full span
 // tree into the flight recorder or discards it, leaving only aggregates.
 func (s *Server) instrument(next http.Handler) http.Handler {
@@ -550,21 +551,29 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	// Incremental engines run through the core anonymizer directly so the
 	// configuration matrix survives for /v1/moves maintenance; wrapping
 	// the construction as an inline engine keeps spans and metrics
-	// identical to the generic path.
+	// identical to the generic path. The matrix works on a copy-on-write
+	// view of db (the first move copies the records), so the policy served
+	// from db is never written under its readers.
 	var anon *core.Anonymizer
+	live := db
 	run := eng
 	if info.Incremental {
+		live = db.CloneWithMoves(nil)
 		run = engine.New(name, func(ctx context.Context, db *location.DB, bounds geo.Rect, p engine.Params) (*lbs.Assignment, error) {
 			dp, err := engine.DPOptions(p)
 			if err != nil {
 				return nil, err
 			}
-			a, err := core.NewAnonymizerContext(ctx, db, bounds, core.AnonymizerOptions{K: p.K, DP: dp})
+			a, err := core.NewAnonymizerContext(ctx, live, bounds, core.AnonymizerOptions{K: p.K, DP: dp})
+			if err != nil {
+				return nil, err
+			}
+			cloaks, err := a.Matrix().Extract()
 			if err != nil {
 				return nil, err
 			}
 			anon = a
-			return a.Policy()
+			return lbs.NewAssignment(db, cloaks)
 		})
 	}
 	start := time.Now()
@@ -582,8 +591,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.k = req.K
 	s.bounds = bounds
-	s.db = db
+	s.db = live
 	s.anon = anon
+	s.pub = nil
 	s.policy = policy
 	s.snapEngine = name
 	s.snapOpts = req.Opts
@@ -660,78 +670,83 @@ func (s *Server) handleMoves(w http.ResponseWriter, r *http.Request) {
 		name = engine.DefaultName
 	}
 	info, _ := engine.InfoOf(name)
-	if s.anon == nil && info.Incremental {
-		// State restored from a checkpoint carries no configuration
-		// matrix; rebuild it once, after which maintenance is incremental.
-		dp, err := engine.DPOptions(engine.Params{K: s.k, Opts: s.snapOpts})
-		if err != nil {
-			httpError(w, http.StatusUnprocessableEntity, err)
+	idxs := make([]int, len(req.Moves))
+	for n, m := range req.Moves {
+		idx := s.db.Index(m.ID)
+		if idx < 0 {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("unknown user %q", m.ID))
 			return
 		}
-		anon, err := core.NewAnonymizerContext(s.obsCtx(r), s.db, s.bounds, core.AnonymizerOptions{K: s.k, DP: dp})
-		if err != nil {
-			httpError(w, http.StatusUnprocessableEntity, err)
+		if !s.bounds.Contains(geo.Point{X: m.X, Y: m.Y}) {
+			s.reg.Counter("moves_rejected:bounds").Inc()
+			httpError(w, http.StatusBadRequest, fmt.Errorf("move %q: destination (%d,%d) outside map bounds", m.ID, m.X, m.Y))
 			return
 		}
-		s.anon = anon
+		idxs[n] = idx
 	}
 	start := time.Now()
 	var rows int
 	var policy *lbs.Assignment
-	if s.anon != nil {
-		for _, m := range req.Moves {
-			idx := s.db.Index(m.ID)
-			if idx < 0 {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("unknown user %q", m.ID))
-				return
+	if info.Incremental {
+		if s.pub == nil {
+			anon := s.anon
+			if anon == nil {
+				// State restored from a checkpoint carries no configuration
+				// matrix; rebuild it once, over a view of the served snapshot,
+				// after which maintenance is incremental.
+				dp, err := engine.DPOptions(engine.Params{K: s.k, Opts: s.snapOpts})
+				if err != nil {
+					httpError(w, http.StatusUnprocessableEntity, err)
+					return
+				}
+				live := s.db.CloneWithMoves(nil)
+				if anon, err = core.NewAnonymizerContext(s.obsCtx(r), live, s.bounds, core.AnonymizerOptions{K: s.k, DP: dp}); err != nil {
+					httpError(w, http.StatusUnprocessableEntity, err)
+					return
+				}
+				s.db = live
 			}
-			if !s.bounds.Contains(geo.Point{X: m.X, Y: m.Y}) {
-				s.reg.Counter("moves_rejected:bounds").Inc()
-				httpError(w, http.StatusBadRequest, fmt.Errorf("move %q: destination (%d,%d) outside map bounds", m.ID, m.X, m.Y))
-				return
-			}
-			if err := s.anon.Move(idx, geo.Point{X: m.X, Y: m.Y}); err != nil {
+			// The served policy is the matrix's last extraction, so the chain
+			// starts anchored on it; if it is not, Publish goes full.
+			s.pub = core.NewPublisher(anon)
+			s.pub.Anchor(s.policy)
+			s.anon = nil
+		}
+		for n, m := range req.Moves {
+			if err := s.pub.Move(idxs[n], geo.Point{X: m.X, Y: m.Y}); err != nil {
 				httpError(w, http.StatusBadRequest, fmt.Errorf("move %q: %w", m.ID, err))
 				return
 			}
 		}
-		rows = s.anon.Refresh()
-		var err error
-		policy, err = s.anon.Policy()
+		pub, err := s.pub.Publish(nil)
 		if err != nil {
 			httpError(w, http.StatusUnprocessableEntity, err)
 			return
 		}
+		policy, rows = pub.Policy, pub.Rows
 		// The incremental path bypasses runEngine, so audit the maintained
 		// policy explicitly — same always-on rate as engine.WithAudit.
 		s.aud.ObservePolicy(s.obsCtx(r), name, policy, s.k)
 	} else {
-		// Non-incremental engine: apply the moves to the snapshot and
-		// recompute the whole policy from scratch.
-		for _, m := range req.Moves {
-			idx := s.db.Index(m.ID)
-			if idx < 0 {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("unknown user %q", m.ID))
-				return
-			}
-			if !s.bounds.Contains(geo.Point{X: m.X, Y: m.Y}) {
-				s.reg.Counter("moves_rejected:bounds").Inc()
-				httpError(w, http.StatusBadRequest, fmt.Errorf("move %q: destination (%d,%d) outside map bounds", m.ID, m.X, m.Y))
-				return
-			}
-			s.db.MoveAt(idx, geo.Point{X: m.X, Y: m.Y})
-		}
+		// Non-incremental engine: recompute the whole policy from scratch
+		// over a copy-on-write snapshot with the moves applied.
 		eng, err := engine.Get(name)
 		if err != nil {
 			httpError(w, http.StatusConflict, err)
 			return
 		}
-		policy, err = s.runEngine(s.obsCtx(r), eng, s.db, s.bounds, engine.Params{K: s.k, Opts: s.snapOpts})
+		moves := make(map[int]geo.Point, len(idxs))
+		for n, m := range req.Moves {
+			moves[idxs[n]] = geo.Point{X: m.X, Y: m.Y}
+		}
+		next := s.db.CloneWithMoves(moves)
+		policy, err = s.runEngine(s.obsCtx(r), eng, next, s.bounds, engine.Params{K: s.k, Opts: s.snapOpts})
 		if err != nil {
 			httpError(w, http.StatusUnprocessableEntity, err)
 			return
 		}
-		rows = s.db.Len()
+		s.db = next
+		rows = next.Len()
 	}
 	elapsed := time.Since(start)
 	s.policy = policy
@@ -760,11 +775,15 @@ type POIJSON struct {
 }
 
 func (s *Server) handlePOIs(w http.ResponseWriter, r *http.Request) {
+	body, ok := bodyOrError(w, r, maxSnapshotBody)
+	if !ok {
+		return
+	}
 	var req struct {
 		MapSide int32     `json:"mapSide"`
 		POIs    []POIJSON `json:"pois"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
 		return
 	}
@@ -1019,6 +1038,7 @@ func (s *Server) RestoreFrom(r io.Reader) error {
 	s.bounds = st.Bounds
 	s.db = st.DB
 	s.anon = nil // lazily rebuilt by the next /v1/moves
+	s.pub = nil
 	s.policy = st.Policy
 	// Checkpoints predate engine selection and always carry the default
 	// engine's policy, with default options.
@@ -1056,7 +1076,11 @@ func (s *Server) handleCheckpointSave(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCheckpointRestore(w http.ResponseWriter, r *http.Request) {
-	if err := s.RestoreFrom(r.Body); err != nil {
+	body, ok := bodyOrError(w, r, maxSnapshotBody)
+	if !ok {
+		return
+	}
+	if err := s.RestoreFrom(bytes.NewReader(body)); err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, checkpoint.ErrUnsafe) {
 			status = http.StatusUnprocessableEntity

@@ -49,9 +49,6 @@ func NewMoveStream(seed int64, db *location.DB, maxDistMeters float64, side int3
 	return s
 }
 
-// Len returns the number of users in the stream.
-func (s *MoveStream) Len() int { return len(s.ids) }
-
 // UserID returns the user id behind a record index, for consumers that
 // address updates by id rather than index.
 func (s *MoveStream) UserID(idx int) string { return s.ids[idx] }
