@@ -83,6 +83,9 @@ func (o Options) workerCount(nodes int) int {
 // The dense part covers u in [0..bound]; the entry u = d(m) is implicit
 // with cost 0, because passing everything up forces zero cloaking in the
 // whole subtree (lines 6 and 8 of Algorithm 1).
+//
+// A Matrix's rows are views into its two flat arenas (Matrix.layout);
+// rows built outside a Matrix (the adaptive DP's) own their slices.
 type row struct {
 	d     int32
 	bound int32 // -1 when the dense part is empty (d(m) < k)
@@ -128,6 +131,11 @@ type Matrix struct {
 	k    int
 	opt  Options
 	rows []row
+
+	// costArena and pickArena back every row's costs and jpick: one flat
+	// array each, laid out by layout at every full pass.
+	costArena []int64
+	pickArena []int32
 
 	// obsCtx carries the tracer (and enclosing span) installed at
 	// construction so that later phases — extraction, incremental
@@ -189,10 +197,12 @@ func (m *Matrix) Recompute() {
 	// previously extracted assignment stops being a usable delta baseline.
 	m.haveBase = false
 	_, sp := obs.Start(m.octx(), "bulkdp.combine")
+	profileLen := m.layout()
 	var stats []workerStats
 	if nw := m.opt.workerCount(m.t.NumNodes()); nw > 1 {
-		stats = m.computeAllParallel(nw)
+		stats = m.computeAllParallel(nw, profileLen)
 	} else {
+		m.cs.ensurePass(m.t.Len()+1, profileLen)
 		m.t.PostOrder(func(id tree.NodeID) { m.computeRow(m.cs, id) })
 	}
 	if sp != nil {
@@ -289,9 +299,43 @@ func (m *Matrix) bound(id tree.NodeID) int32 {
 // concurrently with row computation; parallel passes pre-size before
 // spawning workers.
 func (m *Matrix) ensureRows(n int) {
-	for len(m.rows) < n {
-		m.rows = append(m.rows, row{})
+	if old := len(m.rows); n > old {
+		m.rows = slices.Grow(m.rows, n-old)[:n]
+		clear(m.rows[old:])
 	}
+}
+
+// layout gives every live row a view of exactly bound+1 entries into the
+// matrix's two flat arenas, costs and jpick at the same offset, in post
+// order: a subtree's rows are contiguous and its root's row follows them,
+// so a combine reads its children's rows from one stretch of memory. The
+// arenas are reused when they already cover the tree, so a warm full pass
+// allocates nothing, and every view is capped at its slot. Rows of dead
+// node ids are dropped first, so an id a later split revives can never
+// write into a slot the layout gave another node. A row Update grows past
+// its slot moves to a slice of its own until the next full pass. layout
+// returns the longest profile any combine of the pass can build
+// (profileBound), which sizes the scratch.
+func (m *Matrix) layout() (profileLen int) {
+	m.ensureRows(m.t.NodeCap())
+	clear(m.rows)
+	total := 0
+	m.t.PostOrder(func(id tree.NodeID) {
+		total += int(m.bound(id)) + 1
+		profileLen = max(profileLen, m.profileBound(id, m.t.Children(id)))
+	})
+	if cap(m.costArena) < total {
+		m.costArena = make([]int64, total)
+		m.pickArena = make([]int32, total)
+	}
+	off := 0
+	m.t.PostOrder(func(id tree.NodeID) {
+		end := off + int(m.bound(id)) + 1
+		m.rows[id].costs = m.costArena[off:off:end]
+		m.rows[id].jpick = m.pickArena[off:off:end]
+		off = end
+	})
+	return profileLen
 }
 
 // computeRow fills node id's row from its children's rows (which must be
@@ -456,20 +500,13 @@ func foldPairTrunc(cs *combineScratch, r0, r1 *row, lim int, area int64) profile
 	cs.ensureFold(top + 1)
 	fold := cs.fold
 	c0s, c1s := r0.costs, r1.costs
-	for u0 := 0; u0 < len(c0s) && u0 <= top; u0++ {
-		c0 := c0s[u0]
-		if c0 >= inf {
-			continue
+	if len(c0s) > 0 && len(c1s) > 0 {
+		// The shorter row is walked, the longer reversed: see minPlus.
+		a, b := c0s, c1s
+		if len(a) > len(b) {
+			a, b = b, a
 		}
-		n := min(len(c1s), top-u0+1)
-		out := fold[u0 : u0+n]
-		// No inf guard on c1: inf is MaxInt64/4, so c0+inf cannot
-		// overflow and never undercuts an entry that is at most inf.
-		for u1, c1 := range c1s[:n] {
-			if s := c0 + c1; s < out[u1] {
-				out[u1] = s
-			}
-		}
+		minPlus(fold[:min(top+1, len(a)+len(b)-1)], a, cs.reversed(b))
 	}
 	for u0 := 0; u0 < len(c0s) && int(r1.d)+u0 <= top; u0++ {
 		if j := int(r1.d) + u0; c0s[u0] < fold[j] {
@@ -499,6 +536,70 @@ func foldPairTrunc(cs *combineScratch, r0, r1 *row, lim int, area int64) profile
 	}
 	cs.jsA, cs.costsA = js, costs
 	return profile{js: js, costs: costs}
+}
+
+// lanes is minPlus's block width: how many consecutive totals one walk
+// over the shorter row accumulates in registers.
+const lanes = 4
+
+// minPlus writes out[j] = min over u0+u1 = j of a[u0] + b[u1], for j <
+// len(out) ≤ len(a)+len(b)-1: the dense min-plus convolution of two cost
+// rows, cut to its first len(out) totals. rb is b reversed between lanes-1
+// inf entries on each side (combineScratch.reversed).
+//
+// The kernel is blocked over the output: for lanes consecutive totals
+// j0..j0+lanes-1 it walks the a entries that meet any of them once, and
+// each u0 meets a window of rb holding b[j0+lanes-1-u0 .. j0-u0], so a
+// pair costs a load, an add and a min the compiler turns into a
+// conditional move. Nothing is stored until the block is done and nothing
+// branches on a cost. A window that reaches past either end of b reads the
+// inf padding, which lowers no minimum; inf is MaxInt64/4, so even inf+inf
+// cannot overflow, and an accumulator that starts at inf never rises above
+// it. A min is order-free, so the result is exactly the scatter loop's
+// (foldPair in the tests).
+func minPlus(out, a, rb []int64) {
+	n, lb := len(out), len(rb)-2*(lanes-1)
+	for j0 := 0; j0 < n; j0 += lanes {
+		lo := max(0, j0-lb+1)
+		hi := min(j0+lanes, len(a))
+		t := lb - 1 - j0 + lo // rb[t] is b[j0+lanes-1-lo], or padding
+		x0, x1, x2, x3 := minPlusBlock(a[lo:hi], rb[t:t+hi-lo+lanes-1])
+		if j0+lanes <= n {
+			o := out[j0 : j0+lanes : j0+lanes]
+			o[0], o[1], o[2], o[3] = x0, x1, x2, x3
+			continue
+		}
+		tail := [lanes]int64{x0, x1, x2, x3}
+		copy(out[j0:], tail[:])
+	}
+}
+
+// minPlusBlock is minPlus's inner loop for one block: lane l's total pairs
+// as[i] with w[i+lanes-1-l], two entries of as per iteration. It is kept
+// out of line so that its four accumulators get registers of their own:
+// inlined into minPlus they are spilled to the stack on every iteration.
+//
+//go:noinline
+func minPlusBlock(as, w []int64) (x0, x1, x2, x3 int64) {
+	x0, x1, x2, x3 = inf, inf, inf, inf
+	i := 0
+	for ; i+1 < len(as); i += 2 {
+		c, e := as[i], as[i+1]
+		v := w[i : i+lanes+1 : i+lanes+1]
+		x3 = min(x3, c+v[0], e+v[1])
+		x2 = min(x2, c+v[1], e+v[2])
+		x1 = min(x1, c+v[2], e+v[3])
+		x0 = min(x0, c+v[3], e+v[4])
+	}
+	if i < len(as) {
+		c := as[i]
+		v := w[i : i+lanes : i+lanes]
+		x3 = min(x3, c+v[0])
+		x2 = min(x2, c+v[1])
+		x1 = min(x1, c+v[2])
+		x0 = min(x0, c+v[3])
+	}
+	return x0, x1, x2, x3
 }
 
 // pairTail is the one entry foldPairTrunc keeps above lim: (j*, temp[j*])

@@ -33,6 +33,9 @@ type combineScratch struct {
 	// running minimum of temp[j] + j*area and the j witnessing it.
 	sfx  []int64
 	sfxJ []int32
+	// pad is minPlus's reversed copy of the longer child row between
+	// lanes-1 inf entries on each side.
+	pad []int64
 	// affected and order are Matrix.Update's dirty-closure buffers: the
 	// ancestor-closed set of rows to recompute and its height-sorted walk
 	// list. Update clears affected before returning, so a pooled scratch
@@ -64,15 +67,36 @@ func (cs *combineScratch) ensureFold(n int) {
 	}
 }
 
-// ensurePass pre-sizes every buffer computeRow can touch, for scratches
-// owned by DP pool workers. Work stealing hands a worker different nodes
-// on every pass, so lazy growth inside computeRow would otherwise ratchet
-// capacity (and allocate) indefinitely across warm passes. Only fold is
-// indexed by the pass-up total j and so needs the fold length |D|+1; the
-// other buffers hold one profile (or its suffix minima, one entry more)
-// and are sized by profileLen, the longest profile any node of the tree
-// can produce (Matrix.profileBound). The lazy growth in the combine stays
-// as the safety net.
+// reversed returns b in reverse order between lanes-1 inf entries on each
+// side, in the scratch's pad buffer, valid until the next call.
+func (cs *combineScratch) reversed(b []int64) []int64 {
+	n := len(b) + 2*(lanes-1)
+	if cap(cs.pad) < n {
+		cs.pad = make([]int64, n)
+	}
+	p := cs.pad[:n]
+	for i := range lanes - 1 {
+		p[i], p[n-1-i] = inf, inf
+	}
+	mid := p[lanes-1 : n-(lanes-1)]
+	for i, c := range b {
+		mid[len(mid)-1-i] = c
+	}
+	return p
+}
+
+// ensurePass pre-sizes every buffer computeRow can touch before a full
+// pass, so the pass allocates them once rather than growing them node by
+// node. For scratches owned by DP pool workers it matters more: work
+// stealing hands a worker different nodes on every pass, so lazy growth
+// inside computeRow would otherwise ratchet capacity (and allocate)
+// indefinitely across warm passes. Only fold is indexed by the pass-up
+// total j and so needs the fold length |D|+1; the other buffers hold one
+// profile (or its suffix minima, one entry more) and are sized by
+// profileLen, the longest profile any node of the tree can produce
+// (Matrix.profileBound). No child row is longer than its parent's profile
+// bound, so pad covers any row minPlus reverses. The lazy growth in the
+// combine stays as the safety net.
 func (cs *combineScratch) ensurePass(foldLen, profileLen int) {
 	cs.ensureFold(foldLen)
 	n := profileLen + 1
@@ -96,6 +120,9 @@ func (cs *combineScratch) ensurePass(foldLen, profileLen int) {
 	}
 	if cap(cs.sfxJ) < n {
 		cs.sfxJ = make([]int32, n)
+	}
+	if cap(cs.pad) < n+2*(lanes-1) {
+		cs.pad = make([]int64, n+2*(lanes-1))
 	}
 	if cap(cs.rows) < tree.MaxChildren {
 		cs.rows = make([]*row, 0, tree.MaxChildren)

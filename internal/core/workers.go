@@ -208,14 +208,15 @@ func (m *Matrix) pool(nw int) *dpPool {
 }
 
 // computeAllParallel runs the bottom-up pass on nw workers and returns
-// their per-worker statistics. The caller has already decided nw > 1.
-func (m *Matrix) computeAllParallel(nw int) []workerStats {
+// their per-worker statistics. The caller has already decided nw > 1 and
+// laid the rows out; profileLen is layout's longest profile.
+func (m *Matrix) computeAllParallel(nw, profileLen int) []workerStats {
 	p := m.pool(nw)
 
-	// Pre-size shared storage: workers index m.rows, pending, and wsub by
-	// NodeID and must never grow a shared slice concurrently.
+	// Pre-size shared storage: workers index m.rows (sized by layout),
+	// pending, and wsub by NodeID and must never grow a shared slice
+	// concurrently.
 	nodeCap := m.t.NodeCap()
-	m.ensureRows(nodeCap)
 	p.pending = growInt32(p.pending, nodeCap)
 	p.wsub = growInt64(p.wsub, nodeCap)
 	p.size = growInt32(p.size, nodeCap)
@@ -238,7 +239,6 @@ func (m *Matrix) computeAllParallel(nw int) []workerStats {
 	if total == 0 {
 		return nil
 	}
-	profileLen := 0
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
 		children := m.t.Children(id)
@@ -250,9 +250,6 @@ func (m *Matrix) computeAllParallel(nw int) []workerStats {
 		}
 		p.wsub[id] = w
 		p.size[id] = sz
-		if n := m.profileBound(id, children); n > profileLen {
-			profileLen = n
-		}
 	}
 	for _, cs := range p.scratch {
 		cs.ensurePass(m.t.Len()+1, profileLen)

@@ -266,7 +266,7 @@ func TestScratchSizedByProfileBound(t *testing.T) {
 				for name, got := range map[string]int{
 					"touched": cap(cs.touched), "jsA": cap(cs.jsA), "jsB": cap(cs.jsB),
 					"costsA": cap(cs.costsA), "costsB": cap(cs.costsB),
-					"sfx": cap(cs.sfx), "sfxJ": cap(cs.sfxJ),
+					"sfx": cap(cs.sfx), "sfxJ": cap(cs.sfxJ), "pad": cap(cs.pad) - 2*(lanes-1),
 				} {
 					if got != longest+1 {
 						t.Errorf("%v noPrune=%v worker %d: cap(%s) = %d, want %d",
