@@ -2,8 +2,12 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"policyanon/internal/core"
@@ -166,5 +170,30 @@ func TestEmptySnapshotRoundTrip(t *testing.T) {
 	}
 	if st.DB.Len() != 0 {
 		t.Fatalf("restored %d users from empty checkpoint", st.DB.Len())
+	}
+}
+
+// TestDuplicateUserRejected pins the restore path's duplicate-id rule,
+// which it shares with /v1/snapshot through location.FromRecords' one
+// index loop: a checkpoint that repeats an id is corrupt, and says which
+// id, even when its policy would also fail the safety check.
+func TestDuplicateUserRejected(t *testing.T) {
+	cloak := geo.NewRect(0, 0, 64, 64)
+	p := payload{Version: Version, K: 9, Bounds: cloak, Users: []userRec{
+		{ID: "a", Loc: geo.Point{X: 1, Y: 1}, Cloak: cloak},
+		{ID: "b", Loc: geo.Point{X: 2, Y: 2}, Cloak: cloak},
+		{ID: "a", Loc: geo.Point{X: 3, Y: 3}, Cloak: cloak},
+	}}
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(p); err != nil {
+		t.Fatal(err)
+	}
+	var hdr [12]byte
+	binary.BigEndian.PutUint64(hdr[:8], uint64(body.Len()))
+	binary.BigEndian.PutUint32(hdr[8:], crc32.ChecksumIEEE(body.Bytes()))
+	stream := append(append(magic[:], hdr[:]...), body.Bytes()...)
+	_, err := Load(bytes.NewReader(stream))
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), `duplicate user id: "a"`) {
+		t.Fatalf("err = %v, want ErrCorrupt naming the duplicate id \"a\"", err)
 	}
 }

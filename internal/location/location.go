@@ -11,8 +11,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strconv"
+	"sync"
 
 	"policyanon/internal/geo"
 )
@@ -43,6 +45,10 @@ type DB struct {
 	// updates keep sharing it).
 	sharedIndex bool
 	version     uint64 // bumped on every mutation; see Version
+	// indexing and indexErr are FromRecordsBeside's join: the goroutine
+	// filling byUser sets indexErr before it is done.
+	indexing sync.WaitGroup
+	indexErr error
 }
 
 // Record pages hold 128 entries, matching the published-assignment cloak
@@ -73,21 +79,71 @@ func New(n int) *DB {
 // index is sized once, and each id costs a single map insert — a
 // duplicate shows as an insert that did not grow the map. It fails on
 // duplicate user ids, and leaves Version where New followed by one Add
-// per record would.
+// per record would. It is FromRecordsBeside over a copy, joined at once.
 func FromRecords(recs []Record) (*DB, error) {
-	db := &DB{
-		records: append(make([]Record, 0, len(recs)), recs...),
+	db := unindexed(append(make([]Record, 0, len(recs)), recs...))
+	if err := db.fillIndex(); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+// FromRecordsBeside is FromRecords with the user index built beside the
+// caller's next step. The snapshot takes recs as its storage (the caller
+// must not touch them again) and is returned at once; its user index is
+// filled on a second goroutine, or before returning when GOMAXPROCS is 1.
+// Until JoinIndex has returned nil, the snapshot's records may be read
+// (Len, At, Points, Records, CloneWithMoves), but nothing may read its
+// user index (Index, Lookup, Move, Add, Clone) and it must not be
+// published; the race detector reports a reader that runs early.
+func FromRecordsBeside(recs []Record) *DB {
+	db := unindexed(recs)
+	if runtime.GOMAXPROCS(0) == 1 {
+		db.indexErr = db.fillIndex()
+		return db
+	}
+	db.indexing.Add(1)
+	go func() {
+		db.indexErr = db.fillIndex()
+		db.indexing.Done()
+	}()
+	return db
+}
+
+// JoinIndex waits for the user index FromRecordsBeside is filling and
+// reports its first duplicate id exactly as FromRecords would; after an
+// error the snapshot is to be discarded. On any other snapshot it
+// returns nil at once.
+func (db *DB) JoinIndex() error {
+	db.indexing.Wait()
+	return db.indexErr
+}
+
+// unindexed makes recs a flat snapshot whose user index is allocated at
+// its final size but still empty. CloneWithMoves shares the map by
+// reference, so a clone taken before fillIndex sees the filled index too.
+func unindexed(recs []Record) *DB {
+	if recs == nil {
+		recs = []Record{} // flat storage is non-nil
+	}
+	return &DB{
+		records: recs,
 		byUser:  make(map[string]int, len(recs)),
 		version: uint64(len(recs)),
 	}
+}
+
+// fillIndex is the one loop that indexes a snapshot made by unindexed.
+// It writes the contents of the byUser map and no field of db.
+func (db *DB) fillIndex() error {
 	for i := range db.records {
 		id := db.records[i].UserID
 		db.byUser[id] = i
 		if len(db.byUser) != i+1 {
-			return nil, fmt.Errorf("record %q: %w: %q", id, ErrDuplicateUser, id)
+			return fmt.Errorf("record %q: %w: %q", id, ErrDuplicateUser, id)
 		}
 	}
-	return db, nil
+	return nil
 }
 
 // Add inserts a user at the given location.

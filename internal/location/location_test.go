@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -313,5 +315,45 @@ func TestFromRecordsRejectsDuplicates(t *testing.T) {
 	_, err := FromRecords([]Record{{UserID: "a"}, {UserID: "b"}, {UserID: "a"}, {UserID: "b"}})
 	if !errors.Is(err, ErrDuplicateUser) || !strings.Contains(err.Error(), `"a"`) || strings.Contains(err.Error(), `"b"`) {
 		t.Fatalf("err = %v, want ErrDuplicateUser naming the first repeated id \"a\"", err)
+	}
+}
+
+// TestFromRecordsBeside holds the deferred constructor to FromRecords on
+// both of its paths (the index filled inline at GOMAXPROCS 1, beside the
+// caller otherwise): after JoinIndex the snapshot is the one FromRecords
+// builds, a copy-on-write view taken before the join shares the filled
+// index, and a duplicate is reported by JoinIndex in FromRecords' words.
+func TestFromRecordsBeside(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 1000} {
+			recs := make([]Record, n)
+			for i := range recs {
+				recs[i] = Record{UserID: "u" + itoa(i), Loc: geo.Point{X: int32(i % 97), Y: int32(i % 89)}}
+			}
+			want, err := FromRecords(recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := FromRecordsBeside(slices.Clone(recs))
+			view := got.CloneWithMoves(nil)
+			if err := got.JoinIndex(); err != nil {
+				t.Fatal(err)
+			}
+			if got.Len() != n || got.Version() != want.Version() || !reflect.DeepEqual(got.Records(), want.Records()) {
+				t.Fatalf("procs=%d n=%d: snapshot differs from FromRecords", procs, n)
+			}
+			for i, r := range recs {
+				if got.Index(r.UserID) != i || view.Index(r.UserID) != i {
+					t.Fatalf("procs=%d: Index(%q) = %d, view %d, want %d", procs, r.UserID, got.Index(r.UserID), view.Index(r.UserID), i)
+				}
+			}
+		}
+		dup := []Record{{UserID: "a"}, {UserID: "b"}, {UserID: "a"}, {UserID: "b"}}
+		_, want := FromRecords(dup)
+		if err := FromRecordsBeside(dup).JoinIndex(); err == nil || err.Error() != want.Error() || !errors.Is(err, ErrDuplicateUser) {
+			t.Fatalf("procs=%d: JoinIndex = %v, want %v", procs, err, want)
+		}
 	}
 }

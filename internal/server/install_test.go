@@ -6,12 +6,14 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"policyanon/internal/core"
+	"policyanon/internal/engine"
 	"policyanon/internal/location"
 	"policyanon/internal/workload"
 )
@@ -54,7 +56,12 @@ func sampleUsers(tb testing.TB, master *location.DB, n int, seed int64) *locatio
 
 // postSnapshot drives POST /v1/snapshot through the handler directly.
 func postSnapshot(h http.Handler, body []byte) *httptest.ResponseRecorder {
-	req := httptest.NewRequest(http.MethodPost, "/v1/snapshot", bytes.NewReader(body))
+	return postSnapshotQuery(h, "", body)
+}
+
+// postSnapshotQuery is postSnapshot with a query string ("?engine=...").
+func postSnapshotQuery(h http.Handler, query string, body []byte) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, "/v1/snapshot"+query, bytes.NewReader(body))
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	return w
@@ -89,31 +96,119 @@ func BenchmarkInstall(b *testing.B) {
 	})
 }
 
+// TestInstallAllocs pins what one /v1/snapshot allocates, handler-direct,
+// at 10k users and k=50 (the install_repeat workload's shape at a tenth
+// of its size): decode, the snapshot and its user index, the tree, the
+// DP, Extract, the install audit and the response. Two bodies alternate,
+// as in BenchmarkInstall. The DP's worker pool and the index filled
+// beside it start goroutines, so the budget grows with GOMAXPROCS; CI
+// runs the test at 1, 2 and 8. Measured on 2 vCPUs: 712 allocs and
+// 3.15 MB at 1, 756 and 3.17 MB at 2, 976 and 3.33 MB at 8.
+func TestInstallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const users, k, runs = 10000, 50, 4
+	master := workload.Generate(workload.Config{Intersections: users / 2}, 42)
+	var bodies [2][]byte
+	for i := range bodies {
+		bodies[i] = canonicalBody(sampleUsers(t, master, users, 42+int64(i)), k, workload.DefaultMapSide)
+	}
+	h := New().Handler()
+	for _, body := range bodies {
+		postSnapshot(h, body)
+	}
+	procs := uint64(runtime.GOMAXPROCS(0))
+	maxAllocs, maxBytes := 730+40*(procs-1), 3_210_000+30_000*(procs-1)
+	// The fewest over a few runs: goroutine start-up may or may not reuse
+	// a parked goroutine, which moves the count by a handful.
+	allocs, bytes := ^uint64(0), ^uint64(0)
+	var before, after runtime.MemStats
+	for i := 0; i < runs; i++ {
+		runtime.ReadMemStats(&before)
+		w := postSnapshot(h, bodies[i%2])
+		runtime.ReadMemStats(&after)
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body.String())
+		}
+		allocs = min(allocs, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Errorf("install at GOMAXPROCS=%d: %d allocs, %d B; budget %d allocs, %d B",
+			procs, allocs, bytes, maxAllocs, maxBytes)
+	}
+	t.Logf("install at GOMAXPROCS=%d: %d allocs, %d B (budget %d, %d B)", procs, allocs, bytes, maxAllocs, maxBytes)
+}
+
 // TestSnapshotStatuses pins the status of every way a /v1/snapshot can
-// fail before or while it builds, handler-direct.
+// fail before or while it builds, handler-direct. A duplicate id is found
+// beside the engine, so its 400 must win over whatever the engine
+// returned, 422 included, on every engine; the 400 names the id, so an
+// operator can find it in a 1.75M-user body.
 func TestSnapshotStatuses(t *testing.T) {
 	cases := []struct {
-		name, body string
-		want       int
+		name, query, body string
+		want              int
+		dup               string // the id a duplicate-id 400 must name
 	}{
-		{"installs", `{"k":2,"mapSide":8,"users":[{"id":"a","x":1,"y":1},{"id":"b","x":2,"y":2}]}`, http.StatusOK},
-		{"duplicate id", `{"k":2,"mapSide":8,"users":[{"id":"a","x":1,"y":1},{"id":"b","x":2,"y":2},{"id":"a","x":3,"y":3}]}`, http.StatusBadRequest},
-		{"fewer than k users", `{"k":5,"mapSide":8,"users":[{"id":"a","x":1,"y":1}]}`, http.StatusUnprocessableEntity},
-		{"malformed", `{"k":2,"mapSide":8,"users":[{"id":"a","x":1,"y":1}`, http.StatusBadRequest},
-		{"trailing garbage", `{"k":2,"mapSide":8,"users":[{"id":"a","x":1,"y":1},{"id":"b","x":2,"y":2}]}]`, http.StatusBadRequest},
-		{"coordinate out of int32", `{"k":1,"mapSide":8,"users":[{"id":"a","x":4294967297,"y":1}]}`, http.StatusBadRequest},
-		{"k below 1", `{"k":0,"mapSide":8,"users":[]}`, http.StatusBadRequest},
-		{"point off the map", `{"k":1,"mapSide":8,"users":[{"id":"a","x":8,"y":1}]}`, http.StatusBadRequest},
+		{"installs", "", `{"k":2,"mapSide":8,"users":[{"id":"a","x":1,"y":1},{"id":"b","x":2,"y":2}]}`, http.StatusOK, ""},
+		{"duplicate id", "", `{"k":2,"mapSide":8,"users":[{"id":"a","x":1,"y":1},{"id":"b","x":2,"y":2},{"id":"a","x":3,"y":3}]}`, http.StatusBadRequest, "a"},
+		{"duplicate id and fewer than k users", "", `{"k":5,"mapSide":8,"users":[{"id":"a","x":1,"y":1},{"id":"a","x":2,"y":2}]}`, http.StatusBadRequest, "a"},
+		{"duplicate id in the last record", "", `{"k":2,"mapSide":8,"users":[{"id":"a","x":1,"y":1},{"id":"b","x":2,"y":2},{"id":"c","x":3,"y":3},{"id":"c","x":4,"y":4}]}`, http.StatusBadRequest, "c"},
+		{"duplicate id, hilbert", "?engine=hilbert", `{"k":2,"mapSide":8,"users":[{"id":"a","x":1,"y":1},{"id":"b","x":2,"y":2},{"id":"b","x":3,"y":3}]}`, http.StatusBadRequest, "b"},
+		{"fewer than k users", "", `{"k":5,"mapSide":8,"users":[{"id":"a","x":1,"y":1}]}`, http.StatusUnprocessableEntity, ""},
+		{"malformed", "", `{"k":2,"mapSide":8,"users":[{"id":"a","x":1,"y":1}`, http.StatusBadRequest, ""},
+		{"trailing garbage", "", `{"k":2,"mapSide":8,"users":[{"id":"a","x":1,"y":1},{"id":"b","x":2,"y":2}]}]`, http.StatusBadRequest, ""},
+		{"coordinate out of int32", "", `{"k":1,"mapSide":8,"users":[{"id":"a","x":4294967297,"y":1}]}`, http.StatusBadRequest, ""},
+		{"k below 1", "", `{"k":0,"mapSide":8,"users":[]}`, http.StatusBadRequest, ""},
+		{"point off the map", "", `{"k":1,"mapSide":8,"users":[{"id":"a","x":8,"y":1}]}`, http.StatusBadRequest, ""},
 	}
 	for _, c := range cases {
-		if w := postSnapshot(New().Handler(), []byte(c.body)); w.Code != c.want {
+		w := postSnapshotQuery(New().Handler(), c.query, []byte(c.body))
+		if w.Code != c.want {
 			t.Errorf("%s: status %d, want %d: %s", c.name, w.Code, c.want, w.Body.String())
 		}
+		if c.dup != "" && !strings.Contains(w.Body.String(), `location: duplicate user id: \"`+c.dup+`\"`) {
+			t.Errorf("%s: duplicate-id error does not name %q: %s", c.name, c.dup, w.Body.String())
+		}
 	}
-	// The duplicate is named, so an operator can find it in a 1.75M-user body.
-	w := postSnapshot(New().Handler(), []byte(cases[1].body))
-	if !strings.Contains(w.Body.String(), `\"a\"`) {
-		t.Errorf("duplicate-id error does not name the id: %s", w.Body.String())
+}
+
+// TestInstallEveryEngine installs one body through every registered
+// engine, then the same body with its last id repeated. The user index is
+// filled beside the engine, so under -race this shows that no engine,
+// and no middleware around it, reads the index before the join: the
+// installed snapshot must answer every id, and the duplicate must answer
+// its 400 and leave the installed snapshot served.
+func TestInstallEveryEngine(t *testing.T) {
+	// The index is filled beside the engine only when a second goroutine
+	// can run.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	const users, k = 600, 10
+	src := sampleUsers(t, workload.Generate(workload.Config{Intersections: users}, 42), users, 42)
+	body := canonicalBody(src, k, workload.DefaultMapSide)
+	last := src.At(users - 1)
+	dupBody := append(slices.Clip(bytes.TrimSuffix(body, []byte(`]}`))),
+		`,{"id":"`+last.UserID+`","x":1,"y":1}]}`...)
+	for _, name := range engine.Names() {
+		srv := New()
+		if w := postSnapshotQuery(srv.Handler(), "?engine="+name, body); w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, w.Code, w.Body.String())
+		}
+		for i, r := range src.Records() {
+			if got := srv.db.Index(r.UserID); got != i {
+				t.Fatalf("%s: installed index of %q is %d, want %d", name, r.UserID, got, i)
+			}
+		}
+		served := srv.policy
+		w := postSnapshotQuery(srv.Handler(), "?engine="+name, dupBody)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), last.UserID) {
+			t.Fatalf("%s: duplicate body: status %d: %s", name, w.Code, w.Body.String())
+		}
+		if srv.policy != served {
+			t.Fatalf("%s: a rejected install replaced the served policy", name)
+		}
 	}
 }
 

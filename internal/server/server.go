@@ -542,40 +542,37 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info, _ := engine.InfoOf(name)
-	db, err := location.FromRecords(users)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
+	// The user index fills beside the engine (location.FromRecordsBeside).
+	db := location.FromRecordsBeside(users)
 	bounds := geo.NewRect(0, 0, req.MapSide, req.MapSide)
 	// Incremental engines run through the core anonymizer directly so the
-	// configuration matrix survives for /v1/moves maintenance; wrapping
-	// the construction as an inline engine keeps spans and metrics
-	// identical to the generic path. The matrix works on a copy-on-write
-	// view of db (the first move copies the records), so the policy served
-	// from db is never written under its readers.
+	// configuration matrix survives for /v1/moves maintenance. The matrix
+	// works on a copy-on-write view of db (the first move copies the
+	// records), so the policy served from db is never written under its
+	// readers.
 	var anon *core.Anonymizer
 	live := db
-	run := eng
 	if info.Incremental {
 		live = db.CloneWithMoves(nil)
-		run = engine.New(name, func(ctx context.Context, db *location.DB, bounds geo.Rect, p engine.Params) (*lbs.Assignment, error) {
-			dp, err := engine.DPOptions(p)
-			if err != nil {
-				return nil, err
-			}
-			a, err := core.NewAnonymizerContext(ctx, live, bounds, core.AnonymizerOptions{K: p.K, DP: dp})
-			if err != nil {
-				return nil, err
-			}
-			cloaks, err := a.Matrix().Extract()
-			if err != nil {
-				return nil, err
-			}
-			anon = a
-			return lbs.NewAssignment(db, cloaks)
-		})
 	}
+	// The engine's last step is the index join, inside the metrics and
+	// audit middleware: a duplicate id answers its 400 whatever the engine
+	// returned, 422 included, and the engine's policy is dropped unaudited.
+	// Engines read records only, and nothing publishes db before
+	// runEngine returns, so no index reader runs before the join.
+	run := engine.New(name, func(ctx context.Context, db *location.DB, bounds geo.Rect, p engine.Params) (*lbs.Assignment, error) {
+		var a *lbs.Assignment
+		var err error
+		if info.Incremental {
+			a, anon, err = installIncremental(ctx, live, db, bounds, p)
+		} else {
+			a, err = eng.Anonymize(ctx, db, bounds, p)
+		}
+		if ierr := db.JoinIndex(); ierr != nil {
+			return nil, ierr
+		}
+		return a, err
+	})
 	start := time.Now()
 	policy, err := s.runEngine(s.obsCtx(r), run, db, bounds, engine.Params{K: req.K, Opts: req.Opts})
 	if err != nil {
@@ -636,6 +633,29 @@ func (s *Server) runEngine(ctx context.Context, e engine.Engine, db *location.DB
 		engine.WithMetrics(s.reg),
 		engine.WithAudit(s.aud, 1),
 	).Anonymize(ctx, db, bounds, p)
+}
+
+// installIncremental is an incremental engine's install: the core
+// anonymizer over live, a copy-on-write view of db, whose configuration
+// matrix /v1/moves maintains, and the policy it extracts, served from db.
+func installIncremental(ctx context.Context, live, db *location.DB, bounds geo.Rect, p engine.Params) (*lbs.Assignment, *core.Anonymizer, error) {
+	dp, err := engine.DPOptions(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	a, err := core.NewAnonymizerContext(ctx, live, bounds, core.AnonymizerOptions{K: p.K, DP: dp})
+	if err != nil {
+		return nil, nil, err
+	}
+	cloaks, err := a.Matrix().Extract()
+	if err != nil {
+		return nil, nil, err
+	}
+	policy, err := lbs.NewAssignment(db, cloaks)
+	if err != nil {
+		return nil, nil, err
+	}
+	return policy, a, nil
 }
 
 // MovesRequest applies one snapshot interval's worth of user movement.

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -154,6 +155,87 @@ func TestBuildMatchesRecursiveOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzBuild holds Build to the recursive oracle on decoded point sets:
+// three bytes a point (a form byte, then one byte per axis), over a
+// square map of any side and origin, on either kind and with a small
+// MinCountToSplit, so fuzzed inputs reach deep trees and dense leaves.
+func FuzzBuild(f *testing.F) {
+	f.Add([]byte{}, int32(0), uint32(63), false, uint8(0))
+	f.Add([]byte{0, 7, 9}, int32(0), uint32(63), true, uint8(0))                                // a single point
+	f.Add([]byte{0, 3, 3, 16, 0, 0, 16, 0, 0, 16, 0, 0}, int32(-5), uint32(9), false, uint8(1)) // co-located
+	f.Add([]byte{0x0a, 0x21, 0x42, 0x0f, 0xe3, 0x1b, 0x05, 0, 1, 0x0a, 0xff, 0x7a}, int32(0), uint32(99), true, uint8(0))
+	f.Add([]byte{0x05, 0, 1, 0x0a, 1, 1, 0x0f, 0xff, 0xfe}, int32(math.MinInt32), uint32(1<<32-2), false, uint8(2)) // the map's edges, a huge map
+	f.Fuzz(func(t *testing.T, data []byte, origin int32, sideSel uint32, quad bool, minSplit uint8) {
+		side := 1 + int64(sideSel%(1<<32-1))
+		lo := min(int64(origin), math.MaxInt32-side)
+		bounds := geo.NewRect(int32(lo), int32(lo), int32(lo+side), int32(lo+side))
+		pts := fuzzPoints(data, lo, lo+side)
+		opt := Options{Kind: Binary, MinCountToSplit: 1 + int(minSplit%64)}
+		if quad {
+			opt.Kind = Quad
+		}
+		got, err := Build(pts, bounds, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, refBuild(t, pts, bounds, opt), got)
+	})
+}
+
+// fuzzPoints decodes up to 4096 points in [lo, hi)². Bits 0–1 and 2–3
+// of a point's form byte pick how its x and y bytes decode (fuzzCoord);
+// bit 4 repeats the previous point instead, so co-located points are
+// common.
+func fuzzPoints(data []byte, lo, hi int64) []geo.Point {
+	var pts []geo.Point
+	for i := 0; i+3 <= len(data) && len(pts) < 4096; i += 3 {
+		form := data[i]
+		if form&16 != 0 && len(pts) > 0 {
+			pts = append(pts, pts[len(pts)-1])
+			continue
+		}
+		pts = append(pts, geo.Point{
+			X: fuzzCoord(form&3, data[i+1], lo, hi),
+			Y: fuzzCoord(form>>2&3, data[i+2], lo, hi),
+		})
+	}
+	return pts
+}
+
+// fuzzCoord decodes one coordinate in [lo, hi): anywhere (form 0), on an
+// edge (1), on a split line (2) or just below one (3). A split line is
+// the midpoint reached by up to 1+v&7 halvings of [lo, hi) — the lines
+// Build splits on along either axis, whichever the kind — taking the
+// upper half where the bit of v>>3 for that level is set; a range
+// narrower than 2 is not split.
+func fuzzCoord(form, v byte, lo, hi int64) int32 {
+	switch form {
+	case 0:
+		return int32(lo + int64(v)*(hi-lo)/256)
+	case 1:
+		if v&1 == 0 {
+			return int32(lo)
+		}
+		return int32(hi - 1)
+	}
+	a, b, mid := lo, hi, lo
+	for level := 0; level <= int(v&7) && b-a >= 2; level++ {
+		mid = (a + b) / 2 // geo.Rect.Center
+		if v>>3>>level&1 != 0 {
+			a = mid
+		} else {
+			b = mid
+		}
+	}
+	if form == 3 && mid > lo {
+		mid--
+	}
+	return int32(mid)
 }
 
 // TestMoveOverRangesMatchesFreshBuild pins the invariant the range build

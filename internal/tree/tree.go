@@ -252,6 +252,13 @@ func (t *Tree) bulk(id NodeID, idx, tmp []int32) {
 // partition stably reorders idx so that the points whose x (or y, when
 // byY) coordinate lies below mid come first, and returns how many do.
 // tmp holds the upper group while the lower one compacts in place.
+//
+// Which side a point falls on is a coin toss to the branch predictor, so
+// the loop does not branch on it: every index is written to both idx[lo]
+// and tmp[hi], and the comparison bit advances one cursor or the other.
+// A stray write to idx[lo] lands on a slot already read and is overwritten
+// by the next lower point or by the final copy; a stray tmp[hi] is
+// overwritten by the next upper point or left past the copied range.
 func (t *Tree) partition(idx, tmp []int32, byY bool, mid int32) int {
 	lo, hi := 0, 0
 	for _, p := range idx {
@@ -259,13 +266,13 @@ func (t *Tree) partition(idx, tmp []int32, byY bool, mid int32) int {
 		if byY {
 			v = t.loc[p].Y
 		}
-		if v < mid {
-			idx[lo] = p
-			lo++
-		} else {
-			tmp[hi] = p
-			hi++
-		}
+		// below is 1 when v < mid: the sign bit of v-mid, widened so the
+		// difference cannot overflow.
+		below := int(uint64(int64(v)-int64(mid)) >> 63)
+		idx[lo] = p
+		tmp[hi] = p
+		lo += below
+		hi += 1 - below
 	}
 	copy(idx[lo:], tmp[:hi])
 	return lo
