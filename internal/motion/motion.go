@@ -1,7 +1,8 @@
 // Package motion is the live-motion subsystem: it turns the snapshot-at-a-
 // time anonymization server into a continuously maintained one. Movement
-// updates stream into a bounded, batched ingest queue (size- and time-
-// triggered flush, explicit backpressure); a single maintenance loop
+// updates stream into a bounded, batched ingest queue (a size trigger and
+// a flush deadline armed by each batch's first update, explicit
+// backpressure); a single maintenance loop
 // coalesces each batch per user and applies it to the live location state —
 // incrementally through the Section V configuration-matrix maintenance when
 // the engine supports it, by a full rebuild otherwise or when a batch's
@@ -25,11 +26,16 @@
 //     reclaims it when the last reader drops it, which is what makes the
 //     buffer reuse safe without read locks).
 //
-// Backpressure. The queue is a fixed-capacity channel. Under the Block
-// policy, Enqueue waits for space (bounded by its context); under Drop it
-// rejects the incoming update with ErrQueueFull so the caller can shed load
-// explicitly (the HTTP layer maps it to 429). Either way the queue cannot
-// grow without bound, and its depth is exported continuously.
+// Backpressure. The queue holds at most QueueCapacity updates: each
+// update takes one token of a fixed-capacity channel, which the
+// maintenance loop returns when it takes the update off the queue. One
+// EnqueueBatch call (one POST /v1/moves) is one queue element, so the
+// loop wakes once per call, not once per update. Under the Block policy,
+// EnqueueBatch waits for tokens (bounded by its context); under Drop it
+// rejects the first update that finds none with ErrQueueFull so the
+// caller can shed load explicitly (the HTTP layer maps it to 429). Either
+// way the queue cannot grow without bound, and its depth is exported
+// continuously.
 //
 // Validation. Updates are validated at the ingest boundary against the
 // published snapshot: non-finite or out-of-bounds coordinates, unknown
@@ -45,6 +51,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -150,13 +157,19 @@ type Config struct {
 	// semi-quadrant tree; the matrix maintenance itself is kind-agnostic).
 	TreeKind tree.Kind
 
-	// QueueCapacity bounds the ingest queue (default 4096 updates).
+	// QueueCapacity bounds the ingest queue, counted in updates however
+	// they were enqueued (default 4096).
 	QueueCapacity int
-	// MaxBatch is the size trigger: a flush happens as soon as this many
-	// coalescible updates are collected (default 512).
+	// MaxBatch is the size trigger: a batch is flushed as soon as it holds
+	// this many updates, and before an EnqueueBatch call's updates that
+	// would not fit in it whole, so a call of at most MaxBatch updates is
+	// applied in one batch; a longer one is cut into batches of MaxBatch
+	// (default 512).
 	MaxBatch int
-	// FlushInterval is the time trigger: a non-empty batch is flushed at
-	// least this often (default 50 ms).
+	// FlushInterval is the flush deadline: the longest a queued update
+	// waits before its batch is applied. The deadline is armed when the
+	// first update enters an empty batch, counted from when that update
+	// was enqueued, and disarmed when the batch flushes (default 50 ms).
 	FlushInterval time.Duration
 	// Policy selects the backpressure behaviour of a full queue (default
 	// Block).
@@ -312,6 +325,13 @@ type queued struct {
 	to  geo.Point
 }
 
+// element is one queue element: the updates one EnqueueBatch call
+// admitted, in order, and when they entered the queue.
+type element struct {
+	items []queued
+	at    time.Time
+}
+
 // Stats is a point-in-time view of the pipeline.
 type Stats struct {
 	Epoch          int64   `json:"epoch"`
@@ -336,7 +356,10 @@ type Stats struct {
 	// LastVerifyMs is what the publish gate's most recent verification
 	// took (0 when none ran: SkipVerify); it is part of LastApplyMs.
 	LastVerifyMs float64 `json:"lastVerifyMs"`
-	Closed       bool    `json:"closed"`
+	// LastQueueWaitMs is how long the last applied batch's oldest update
+	// waited in the queue before the apply started.
+	LastQueueWaitMs float64 `json:"lastQueueWaitMs"`
+	Closed          bool    `json:"closed"`
 }
 
 // Pipeline is the streaming-update subsystem. Create with New or
@@ -346,7 +369,11 @@ type Pipeline struct {
 	cfg Config
 	m   *maintainer
 
-	q      chan queued
+	// q carries one element per EnqueueBatch call; slots holds one token
+	// per queued update, so QueueCapacity bounds updates, not elements,
+	// and q (of the same capacity) never blocks a sender holding tokens.
+	q      chan element
+	slots  chan struct{}
 	sendMu sync.RWMutex // write-held only by Close; guards closed+q close
 	closed bool
 
@@ -374,6 +401,7 @@ type Pipeline struct {
 	lastBatch      atomic.Int64
 	lastApplyNs    atomic.Int64
 	lastVerifyNs   atomic.Int64
+	lastQueueWait  atomic.Int64
 	isClosed       atomic.Bool
 
 	// The registry handles of the per-move metrics, looked up once:
@@ -416,7 +444,8 @@ func NewWithState(db *location.DB, bounds geo.Rect, cfg Config, anon *core.Anony
 	p := &Pipeline{
 		cfg:        cfg,
 		m:          m,
-		q:          make(chan queued, cfg.QueueCapacity),
+		q:          make(chan element, cfg.QueueCapacity),
+		slots:      make(chan struct{}, cfg.QueueCapacity),
 		done:       make(chan struct{}),
 		enqueuedC:  reg.Counter("motion_enqueued"),
 		droppedC:   reg.Counter("motion_dropped"),
@@ -488,44 +517,41 @@ func (p *Pipeline) Config() Config { return p.cfg }
 // Stats returns a point-in-time view of the pipeline's accounting.
 func (p *Pipeline) Stats() Stats {
 	return Stats{
-		Epoch:          p.Epoch(),
-		QueueDepth:     len(p.q),
-		QueueCapacity:  p.cfg.QueueCapacity,
-		Enqueued:       p.enqueued.Load(),
-		Dropped:        p.dropped.Load(),
-		Rejected:       p.rejected.Load(),
-		Batches:        p.batches.Load(),
-		Moves:          p.moves.Load(),
-		Rows:           p.rows.Load(),
-		Incremental:    p.incremental.Load(),
-		Rebuilds:       p.rebuilds.Load(),
-		RowsExtracted:  p.rowsExtracted.Load(),
-		CloaksChanged:  p.cloaksChanged.Load(),
-		DeltaPublishes: p.deltaPublishes.Load(),
-		Fallbacks:      p.fallbacks.Load(),
-		VerifyFailures: p.verifyFailures.Load(),
-		Checkpoints:    p.checkpoints.Load(),
-		LastBatch:      int(p.lastBatch.Load()),
-		LastApplyMs:    float64(p.lastApplyNs.Load()) / 1e6,
-		LastVerifyMs:   float64(p.lastVerifyNs.Load()) / 1e6,
-		Closed:         p.isClosed.Load(),
+		Epoch:           p.Epoch(),
+		QueueDepth:      len(p.slots),
+		QueueCapacity:   p.cfg.QueueCapacity,
+		Enqueued:        p.enqueued.Load(),
+		Dropped:         p.dropped.Load(),
+		Rejected:        p.rejected.Load(),
+		Batches:         p.batches.Load(),
+		Moves:           p.moves.Load(),
+		Rows:            p.rows.Load(),
+		Incremental:     p.incremental.Load(),
+		Rebuilds:        p.rebuilds.Load(),
+		RowsExtracted:   p.rowsExtracted.Load(),
+		CloaksChanged:   p.cloaksChanged.Load(),
+		DeltaPublishes:  p.deltaPublishes.Load(),
+		Fallbacks:       p.fallbacks.Load(),
+		VerifyFailures:  p.verifyFailures.Load(),
+		Checkpoints:     p.checkpoints.Load(),
+		LastBatch:       int(p.lastBatch.Load()),
+		LastApplyMs:     float64(p.lastApplyNs.Load()) / 1e6,
+		LastVerifyMs:    float64(p.lastVerifyNs.Load()) / 1e6,
+		LastQueueWaitMs: float64(p.lastQueueWait.Load()) / 1e6,
+		Closed:          p.isClosed.Load(),
 	}
 }
 
-// validate resolves and checks an update, returning its queued form.
-func (p *Pipeline) validate(u Update) (queued, error) {
-	reject := func(reason, detail string) (queued, error) {
-		p.rejected.Add(1)
-		p.rejectedC.Inc()
-		p.rejectedBy[reason].Inc()
-		return queued{}, &RejectError{Reason: reason, Detail: detail}
-	}
+// validate resolves and checks an update, returning its queued form or
+// the *RejectError that refuses it. It counts nothing: a reject is
+// counted by reject, once it is the error a call reports.
+func (p *Pipeline) validate(u Update) (queued, *RejectError) {
 	if math.IsNaN(u.X) || math.IsNaN(u.Y) || math.IsInf(u.X, 0) || math.IsInf(u.Y, 0) {
-		return reject(ReasonNonFinite, fmt.Sprintf("user %q moved to (%v,%v)", u.UserID, u.X, u.Y))
+		return queued{}, &RejectError{ReasonNonFinite, fmt.Sprintf("user %q moved to (%v,%v)", u.UserID, u.X, u.Y)}
 	}
 	b := p.m.bounds
 	if u.X < float64(b.MinX) || u.X >= float64(b.MaxX) || u.Y < float64(b.MinY) || u.Y >= float64(b.MaxY) {
-		return reject(ReasonOutOfBounds, fmt.Sprintf("user %q moved to (%v,%v) outside %v", u.UserID, u.X, u.Y, b))
+		return queued{}, &RejectError{ReasonOutOfBounds, fmt.Sprintf("user %q moved to (%v,%v) outside %v", u.UserID, u.X, u.Y, b)}
 	}
 	to := geo.Point{X: int32(math.Floor(u.X)), Y: int32(math.Floor(u.Y))}
 	// Resolve against the published clone: same users, same insertion
@@ -533,53 +559,104 @@ func (p *Pipeline) validate(u Update) (queued, error) {
 	pub := p.front.Load().Policy.DB()
 	idx := pub.Index(u.UserID)
 	if idx < 0 {
-		return reject(ReasonUnknownUser, fmt.Sprintf("user %q not in the snapshot", u.UserID))
+		return queued{}, &RejectError{ReasonUnknownUser, fmt.Sprintf("user %q not in the snapshot", u.UserID)}
 	}
 	if max := p.cfg.MaxMoveMeters; max >= 0 {
 		from := pub.At(idx).Loc
 		dx, dy := u.X-float64(from.X), u.Y-float64(from.Y)
 		if dist := math.Hypot(dx, dy); dist > max {
-			return reject(ReasonSpeed, fmt.Sprintf(
-				"user %q moved %.0f m since the last published snapshot (bound %.0f m)", u.UserID, dist, max))
+			return queued{}, &RejectError{ReasonSpeed, fmt.Sprintf(
+				"user %q moved %.0f m since the last published snapshot (bound %.0f m)", u.UserID, dist, max)}
 		}
 	}
 	return queued{idx: idx, to: to}, nil
 }
 
-// Enqueue validates one update and admits it to the ingest queue. It
-// returns a *RejectError for invalid updates, ErrQueueFull when the Drop
-// policy sheds load, ErrClosed after Close, or the context error when the
-// Block policy waits past the caller's deadline.
+// reject counts a validation failure under its reason.
+func (p *Pipeline) reject(rej *RejectError) {
+	p.rejected.Add(1)
+	p.rejectedC.Inc()
+	p.rejectedBy[rej.Reason].Inc()
+}
+
+// Enqueue validates one update and admits it to the ingest queue; it is
+// EnqueueBatch of one update.
 func (p *Pipeline) Enqueue(ctx context.Context, u Update) error {
-	it, err := p.validate(u)
-	if err != nil {
-		return err
+	_, err := p.EnqueueBatch(ctx, []Update{u})
+	return err
+}
+
+// EnqueueBatch validates us in order and admits the valid prefix to the
+// ingest queue as one element, so the maintenance loop takes it in one
+// wake-up and, when it fits MaxBatch, applies it in one batch. It returns
+// how many updates were queued and why the rest were not: a *RejectError
+// for the first invalid update, ErrQueueFull when the Drop policy sheds
+// load, ErrClosed after Close, or the context error when the Block policy
+// waits past the caller's deadline. Updates are refused exactly where
+// one Enqueue per update would have stopped: the first queued updates
+// stay queued, and a reject past a full queue is never counted.
+func (p *Pipeline) EnqueueBatch(ctx context.Context, us []Update) (int, error) {
+	items := make([]queued, 0, len(us))
+	var rej *RejectError
+	for _, u := range us {
+		it, r := p.validate(u)
+		if r != nil {
+			rej = r
+			break
+		}
+		items = append(items, it)
+	}
+	n, err := p.admit(ctx, items)
+	if err == nil && rej != nil {
+		p.reject(rej)
+		return n, rej
+	}
+	return n, err
+}
+
+// admit takes one token per item and sends the items as one element. A
+// sender never waits while holding tokens it has not sent: when the queue
+// is full it first sends what it holds, so the loop can always drain the
+// tokens taken and concurrent senders cannot deadlock on each other.
+func (p *Pipeline) admit(ctx context.Context, items []queued) (int, error) {
+	if len(items) == 0 {
+		return 0, nil // a reject at the first update outranks ErrClosed
 	}
 	p.sendMu.RLock()
 	defer p.sendMu.RUnlock()
 	if p.closed {
-		return ErrClosed
+		return 0, ErrClosed
 	}
-	switch p.cfg.Policy {
-	case Drop:
+	sent := 0
+	send := func(n int) {
+		if n > sent {
+			p.q <- element{items: items[sent:n], at: time.Now()}
+			p.enqueued.Add(int64(n - sent))
+			p.enqueuedC.Add(int64(n - sent))
+			p.queueDepth.Set(int64(len(p.slots)))
+			sent = n
+		}
+	}
+	for held := 0; held < len(items); held++ {
 		select {
-		case p.q <- it:
+		case p.slots <- struct{}{}:
+			continue
 		default:
+		}
+		send(held)
+		if p.cfg.Policy == Drop {
 			p.dropped.Add(1)
 			p.droppedC.Inc()
-			return ErrQueueFull
+			return sent, ErrQueueFull
 		}
-	default: // Block
 		select {
-		case p.q <- it:
+		case p.slots <- struct{}{}:
 		case <-ctx.Done():
-			return ctx.Err()
+			return sent, ctx.Err()
 		}
 	}
-	p.enqueued.Add(1)
-	p.enqueuedC.Inc()
-	p.queueDepth.Set(int64(len(p.q)))
-	return nil
+	send(len(items))
+	return sent, nil
 }
 
 // Close stops accepting moves, drains the ingest queue, applies the final
@@ -601,33 +678,51 @@ func (p *Pipeline) Close(ctx context.Context) error {
 	}
 }
 
-// loop is the maintenance goroutine: batch, coalesce, apply, swap.
+// loop is the maintenance goroutine: batch, coalesce, apply, swap. A batch
+// is flushed by the size trigger or by its deadline, which the first
+// update to enter the empty batch arms and the flush disarms: no timer
+// runs while the batch is empty.
 func (p *Pipeline) loop() {
 	defer close(p.done)
-	ticker := time.NewTicker(p.cfg.FlushInterval)
-	defer ticker.Stop()
+	deadline := time.NewTimer(time.Hour)
+	deadline.Stop()
 	batch := make([]queued, 0, p.cfg.MaxBatch)
+	var oldest time.Time
 	flush := func() {
 		if len(batch) > 0 {
-			p.apply(batch)
+			deadline.Stop()
+			p.apply(batch, oldest)
 			batch = batch[:0]
 		}
 	}
 	for {
 		select {
-		case it, ok := <-p.q:
+		case e, ok := <-p.q:
 			if !ok {
 				// Drain complete: the queue is closed and empty.
 				flush()
 				p.finalCheckpoint()
 				return
 			}
-			batch = append(batch, it)
-			p.queueDepth.Set(int64(len(p.q)))
-			if len(batch) >= p.cfg.MaxBatch {
-				flush()
+			for range e.items {
+				<-p.slots
 			}
-		case <-ticker.C:
+			p.queueDepth.Set(int64(len(p.slots)))
+			if len(batch)+len(e.items) > p.cfg.MaxBatch {
+				flush() // keep the element whole if it fits a batch alone
+			}
+			for items := e.items; len(items) > 0; {
+				if len(batch) == 0 {
+					oldest = e.at
+					deadline.Reset(time.Until(e.at.Add(p.cfg.FlushInterval)))
+				}
+				n := min(len(items), p.cfg.MaxBatch-len(batch))
+				batch, items = append(batch, items[:n]...), items[n:]
+				if len(batch) >= p.cfg.MaxBatch {
+					flush()
+				}
+			}
+		case <-deadline.C:
 			flush()
 		}
 	}
@@ -637,15 +732,18 @@ func (p *Pipeline) loop() {
 // the maintainer, and publishes the resulting snapshot. With a flight
 // recorder configured, the batch runs inside a trace capture whose span
 // tree is retained when the batch is interesting (fallback or error).
-func (p *Pipeline) apply(batch []queued) {
+// oldest is when the batch's first update entered the queue.
+func (p *Pipeline) apply(batch []queued, oldest time.Time) {
+	wallStart := time.Now()
+	wait := wallStart.Sub(oldest)
+	p.lastQueueWait.Store(wait.Nanoseconds())
 	base := p.cfg.BaseContext
 	var cap *obs.Capture
 	if p.cfg.Flight != nil && obs.TracerFrom(base) != nil {
 		cap = obs.NewCapture(flight.MintTraceID(), 0)
 		base = obs.WithCapture(base, cap)
 	}
-	wallStart := time.Now()
-	fellBack, applyErr := p.applyBatch(base, batch)
+	fellBack, applyErr := p.applyBatch(base, batch, wait)
 	if cap != nil {
 		p.recordFlight(cap, wallStart, time.Since(wallStart), len(batch), fellBack, applyErr)
 	}
@@ -682,10 +780,11 @@ func (p *Pipeline) recordFlight(cap *obs.Capture, start time.Time, elapsed time.
 	})
 }
 
-func (p *Pipeline) applyBatch(base context.Context, batch []queued) (fellBack bool, applyErr error) {
+func (p *Pipeline) applyBatch(base context.Context, batch []queued, wait time.Duration) (fellBack bool, applyErr error) {
 	ctx, sp := obs.Start(base, "motion.apply")
 	if sp != nil {
 		sp.SetInt("batch", int64(len(batch)))
+		sp.SetAttr("queue_wait_ms", strconv.FormatFloat(float64(wait.Microseconds())/1000, 'f', 3, 64))
 		defer sp.End()
 	}
 	// Coalesce: one DB/matrix touch per user however often it moved while

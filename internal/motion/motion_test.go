@@ -248,10 +248,11 @@ func blockedPipeline(t *testing.T, db *location.DB, cfg Config) (*Pipeline, func
 func fillQueue(t *testing.T, p *Pipeline, s *workload.MoveStream) {
 	t.Helper()
 	enqueueMoves(t, p, s, 1)
-	// Wait for the loop to consume it (queue back to empty) before
-	// measuring capacity.
+	// Wait for the loop to consume it (its token back, so the queue is
+	// empty) before measuring capacity: the channel hands an element to a
+	// waiting loop directly, so the channel's own length says nothing.
 	deadline := time.Now().Add(10 * time.Second)
-	for len(p.q) != 0 {
+	for p.Stats().QueueDepth != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("maintenance loop never consumed the first update")
 		}
@@ -547,5 +548,164 @@ func TestStrategyValidation(t *testing.T) {
 	_, err := New(db, testBounds(), Config{K: 10, Engine: "casper", Strategy: StrategyIncremental})
 	if err == nil {
 		t.Fatal("forced incremental on casper must fail")
+	}
+}
+
+// TestFlushDeadline: a lone update with nothing after it is still
+// published, by the deadline its own arrival armed, and never before
+// FlushInterval has passed — also right after a size-triggered flush,
+// whose disarmed deadline must not fire for the next batch.
+func TestFlushDeadline(t *testing.T) {
+	const flush = 40 * time.Millisecond
+	db := testDB(t, 120, 21)
+	published := make(chan *Snapshot, 8)
+	p, err := New(db, testBounds(), Config{
+		K: 10, MaxBatch: 8, FlushInterval: flush, MaxMoveMeters: -1,
+		OnSwap: func(s *Snapshot) { published <- s },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closePipeline(t, p)
+	<-published // the initial snapshot
+	await := func() *Snapshot {
+		t.Helper()
+		select {
+		case s := <-published:
+			return s
+		case <-time.After(30 * time.Second):
+			t.Fatal("no snapshot published")
+			return nil
+		}
+	}
+	stream := workload.NewMoveStream(22, db, 150, testSide)
+	for round := 0; round < 3; round++ {
+		if round > 0 {
+			// A full batch, one element, flushes on size at once; its
+			// deadline is spent.
+			full := make([]Update, 8)
+			for i := range full {
+				mv := stream.Next()
+				full[i] = Update{UserID: stream.UserID(mv.Index), X: float64(mv.To.X), Y: float64(mv.To.Y)}
+			}
+			if n, err := p.EnqueueBatch(context.Background(), full); n != len(full) || err != nil {
+				t.Fatalf("round %d: queued %d of %d: %v", round, n, len(full), err)
+			}
+			await()
+		}
+		start := time.Now()
+		enqueueMoves(t, p, stream, 1)
+		snap := await()
+		if snap.Moves != 1 {
+			t.Fatalf("round %d: epoch %d applied %d moves, want the lone update", round, snap.Epoch, snap.Moves)
+		}
+		if early := snap.AppliedAt.Sub(start); early < flush {
+			t.Fatalf("round %d: lone update published %v after it was queued, before the %v deadline", round, early, flush)
+		}
+		if wait := p.Stats().LastQueueWaitMs; wait < float64(flush.Milliseconds()) {
+			t.Fatalf("round %d: batch waited %v ms in the queue, want >= %v", round, wait, flush)
+		}
+	}
+}
+
+// TestEnqueueBatchStopsWhereEnqueueWould: a batch that meets a full queue
+// queues the updates that fit and reports where it stopped, as one
+// Enqueue per update would have — and an invalid update past that point
+// is never validated into the reject counters.
+func TestEnqueueBatchStopsWhereEnqueueWould(t *testing.T) {
+	for _, policy := range []BackpressurePolicy{Drop, Block} {
+		t.Run(policy.String(), func(t *testing.T) {
+			db := testDB(t, 120, 23)
+			p, release := blockedPipeline(t, db, Config{QueueCapacity: 8, Policy: policy})
+			stream := workload.NewMoveStream(24, db, 150, testSide)
+			enqueueMoves(t, p, stream, 1)
+			for deadline := time.Now().Add(10 * time.Second); p.Stats().QueueDepth != 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("maintenance loop never consumed the first update")
+				}
+			}
+			us := make([]Update, 12)
+			for i := range us {
+				mv := stream.Next()
+				us[i] = Update{UserID: stream.UserID(mv.Index), X: float64(mv.To.X), Y: float64(mv.To.Y)}
+			}
+			us[10].UserID = "nobody"
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			n, err := p.EnqueueBatch(ctx, us)
+			want := ErrQueueFull
+			if policy == Block {
+				want = context.DeadlineExceeded
+			}
+			if n != 8 || !errors.Is(err, want) {
+				t.Fatalf("queued %d, err %v; want 8 and %v", n, err, want)
+			}
+			st := p.Stats()
+			if st.Enqueued != 9 || st.QueueDepth != 8 || st.Rejected != 0 {
+				t.Fatalf("accounting after a partial batch: %+v", st)
+			}
+			wantDropped := int64(0)
+			if policy == Drop {
+				wantDropped = 1
+			}
+			if st.Dropped != wantDropped {
+				t.Fatalf("dropped = %d, want %d", st.Dropped, wantDropped)
+			}
+			release()
+		})
+	}
+}
+
+// TestEnqueueBatchConcurrentSmallQueue: batches longer than the queue,
+// from several goroutines at once under Block, all get through — a sender
+// never waits on tokens it holds unsent — and no apply exceeds MaxBatch.
+func TestEnqueueBatchConcurrentSmallQueue(t *testing.T) {
+	const senders, batches, size, maxBatch = 4, 10, 12, 16
+	db := testDB(t, 120, 25)
+	// Draw every sender's batches before the pipeline owns db.
+	work := make([][][]Update, senders)
+	for g := range work {
+		stream := workload.NewMoveStream(int64(26+g), db, 150, testSide)
+		work[g] = make([][]Update, batches)
+		for b := range work[g] {
+			for i := 0; i < size; i++ {
+				mv := stream.Next()
+				work[g][b] = append(work[g][b], Update{UserID: stream.UserID(mv.Index), X: float64(mv.To.X), Y: float64(mv.To.Y)})
+			}
+		}
+	}
+	var largest atomic.Int64
+	p, err := New(db, testBounds(), Config{
+		K: 10, QueueCapacity: 8, MaxBatch: maxBatch, FlushInterval: time.Millisecond, MaxMoveMeters: -1,
+		OnSwap: func(s *Snapshot) {
+			if s.Strategy != "initial" && int64(s.Moves) > largest.Load() {
+				largest.Store(int64(s.Moves))
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, us := range work {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, batch := range us {
+				if n, err := p.EnqueueBatch(context.Background(), batch); n != len(batch) || err != nil {
+					t.Errorf("queued %d of %d: %v", n, len(batch), err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	closePipeline(t, p)
+	st := p.Stats()
+	if st.Enqueued != senders*batches*size || st.Dropped != 0 || st.QueueDepth != 0 {
+		t.Fatalf("accounting: %+v", st)
+	}
+	if largest.Load() > maxBatch {
+		t.Fatalf("an apply took %d moves, above MaxBatch %d", largest.Load(), maxBatch)
 	}
 }

@@ -188,66 +188,49 @@ type StreamMovesRequest struct {
 //	429 — ingest queue full under the Drop backpressure policy
 //	503 — pipeline draining (server shutting down)
 func (s *Server) handleMovesStreaming(w http.ResponseWriter, r *http.Request, p *motion.Pipeline, body []byte) {
-	var req StreamMovesRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	ups, err := decodeStreamMoves(body)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
 		return
 	}
-	queued := 0
-	for i, m := range req.Moves {
-		err := p.Enqueue(r.Context(), motion.Update{UserID: m.ID, X: m.X, Y: m.Y})
-		if err == nil {
-			queued++
-			continue
-		}
-		var rej *motion.RejectError
-		switch {
-		case errors.As(err, &rej):
-			if l := s.Logger(); l != nil {
-				// The request ID minted/echoed by instrument() rides the
-				// context, so a rejected move correlates with the client's
-				// X-Request-ID across log, trace, and response header.
-				l.LogAttrs(r.Context(), slog.LevelWarn, "motion_rejected",
-					slog.String("rid", audit.RequestID(r.Context())),
-					slog.String("user", m.ID),
-					slog.String("reason", string(rej.Reason)),
-					slog.Int("move", i),
-					slog.String("err", rej.Error()),
-				)
-			}
-			writeJSON(w, http.StatusBadRequest, map[string]any{
-				"error":  rej.Error(),
-				"reason": rej.Reason,
-				"move":   i,
-				"queued": queued,
-			})
-		case errors.Is(err, motion.ErrQueueFull):
-			writeJSON(w, http.StatusTooManyRequests, map[string]any{
-				"error":  err.Error(),
-				"move":   i,
-				"queued": queued,
-			})
-		case errors.Is(err, motion.ErrClosed):
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-				"error":  err.Error(),
-				"move":   i,
-				"queued": queued,
-			})
-		default: // context canceled/deadline while blocked on a full queue
-			writeJSON(w, http.StatusTooManyRequests, map[string]any{
-				"error":  err.Error(),
-				"move":   i,
-				"queued": queued,
-			})
-		}
+	queued, err := p.EnqueueBatch(r.Context(), ups)
+	if err == nil {
+		st := p.Stats()
+		writeJSON(w, http.StatusAccepted, map[string]any{
+			"queued":     queued,
+			"queueDepth": st.QueueDepth,
+			"epoch":      st.Epoch,
+		})
 		return
 	}
-	st := p.Stats()
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"queued":     queued,
-		"queueDepth": st.QueueDepth,
-		"epoch":      st.Epoch,
-	})
+	// The batch stopped at the first update it did not queue.
+	status, out := http.StatusTooManyRequests, map[string]any{
+		"error":  err.Error(),
+		"move":   queued,
+		"queued": queued,
+	}
+	var rej *motion.RejectError
+	switch {
+	case errors.As(err, &rej):
+		if l := s.Logger(); l != nil {
+			// The request ID minted/echoed by instrument() rides the
+			// context, so a rejected move correlates with the client's
+			// X-Request-ID across log, trace, and response header.
+			l.LogAttrs(r.Context(), slog.LevelWarn, "motion_rejected",
+				slog.String("rid", audit.RequestID(r.Context())),
+				slog.String("user", ups[queued].UserID),
+				slog.String("reason", string(rej.Reason)),
+				slog.Int("move", queued),
+				slog.String("err", rej.Error()),
+			)
+		}
+		status, out["reason"] = http.StatusBadRequest, rej.Reason
+	case errors.Is(err, motion.ErrClosed):
+		status = http.StatusServiceUnavailable
+	}
+	// Otherwise 429: ErrQueueFull under Drop, or the context ending while
+	// Block waited on a full queue.
+	writeJSON(w, status, out)
 }
 
 // handleMotion is GET /v1/motion: live pipeline accounting.

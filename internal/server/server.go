@@ -674,8 +674,8 @@ func (s *Server) handleMoves(w http.ResponseWriter, r *http.Request) {
 		s.handleMovesStreaming(w, r, p, body)
 		return
 	}
-	var req MovesRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	moves, err := decodeMoves(body)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
 		return
 	}
@@ -690,8 +690,8 @@ func (s *Server) handleMoves(w http.ResponseWriter, r *http.Request) {
 		name = engine.DefaultName
 	}
 	info, _ := engine.InfoOf(name)
-	idxs := make([]int, len(req.Moves))
-	for n, m := range req.Moves {
+	idxs := make([]int, len(moves))
+	for n, m := range moves {
 		idx := s.db.Index(m.ID)
 		if idx < 0 {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("unknown user %q", m.ID))
@@ -732,7 +732,7 @@ func (s *Server) handleMoves(w http.ResponseWriter, r *http.Request) {
 			s.pub.Anchor(s.policy)
 			s.anon = nil
 		}
-		for n, m := range req.Moves {
+		for n, m := range moves {
 			if err := s.pub.Move(idxs[n], geo.Point{X: m.X, Y: m.Y}); err != nil {
 				httpError(w, http.StatusBadRequest, fmt.Errorf("move %q: %w", m.ID, err))
 				return
@@ -755,11 +755,11 @@ func (s *Server) handleMoves(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusConflict, err)
 			return
 		}
-		moves := make(map[int]geo.Point, len(idxs))
-		for n, m := range req.Moves {
-			moves[idxs[n]] = geo.Point{X: m.X, Y: m.Y}
+		dest := make(map[int]geo.Point, len(idxs))
+		for n, m := range moves {
+			dest[idxs[n]] = geo.Point{X: m.X, Y: m.Y}
 		}
-		next := s.db.CloneWithMoves(moves)
+		next := s.db.CloneWithMoves(dest)
 		policy, err = s.runEngine(s.obsCtx(r), eng, next, s.bounds, engine.Params{K: s.k, Opts: s.snapOpts})
 		if err != nil {
 			httpError(w, http.StatusUnprocessableEntity, err)
@@ -773,13 +773,13 @@ func (s *Server) handleMoves(w http.ResponseWriter, r *http.Request) {
 	if s.csp != nil {
 		s.csp.SetPolicy(policy)
 	}
-	s.stats.MovesApplied += int64(len(req.Moves))
+	s.stats.MovesApplied += int64(len(moves))
 	s.stats.RowsRecomputed += int64(rows)
 	s.stats.MaintenanceMs = float64(elapsed.Microseconds()) / 1000
 	s.stats.PolicyCost = policy.Cost()
 	s.stats.AvgCloakArea = policy.AvgArea()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"moves":          len(req.Moves),
+		"moves":          len(moves),
 		"rowsRecomputed": rows,
 		"policyCost":     policy.Cost(),
 		"maintenanceMs":  float64(elapsed.Microseconds()) / 1000,

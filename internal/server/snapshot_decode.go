@@ -7,6 +7,7 @@ import (
 
 	"policyanon/internal/geo"
 	"policyanon/internal/location"
+	"policyanon/internal/motion"
 )
 
 // maxSnapshotBody caps a /v1/snapshot body at 4× the paper's 1.75M-user
@@ -137,6 +138,81 @@ func scanSnapshot(body []byte) (req SnapshotRequest, recs []location.Record, ok 
 	return req, recs, true
 }
 
+// decodeMoves decodes a /v1/moves body for the synchronous protocol: the
+// plain grammar through scanMoves, any other body through json.Unmarshal.
+func decodeMoves(body []byte) ([]UserJSON, error) {
+	if moves, ok := scanMoves(body); ok {
+		return moves, nil
+	}
+	var req MovesRequest
+	err := json.Unmarshal(body, &req)
+	return req.Moves, err
+}
+
+// decodeStreamMoves decodes a /v1/moves body for the streaming protocol,
+// whose coordinates are float64, into pipeline updates: the plain grammar
+// through scanMoves, any other body through json.Unmarshal.
+func decodeStreamMoves(body []byte) ([]motion.Update, error) {
+	if moves, ok := scanMoves(body); ok {
+		ups := make([]motion.Update, len(moves))
+		for i, m := range moves {
+			ups[i] = motion.Update{UserID: m.ID, X: float64(m.X), Y: float64(m.Y)}
+		}
+		return ups, nil
+	}
+	var req StreamMovesRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return nil, err
+	}
+	ups := make([]motion.Update, len(req.Moves))
+	for i, m := range req.Moves {
+		ups[i] = motion.Update{UserID: m.ID, X: m.X, Y: m.Y}
+	}
+	return ups, nil
+}
+
+// scanMoves is the one-pass decoder of a /v1/moves body in the plain
+// grammar: {"moves":[...]} whose elements are users as scanSnapshot reads
+// them, ids again substrings of one backing string. Beyond what
+// scanSnapshot declines it declines a "-0" coordinate, which the
+// streaming protocol's float64 fields would decode as negative zero.
+func scanMoves(body []byte) (moves []UserJSON, ok bool) {
+	var (
+		s     = scanner{b: body}
+		seen  bool
+		ids   []byte
+		idEnd []uint32
+	)
+	for more := s.open('{', '}'); more; more = s.next('}') {
+		key := s.key()
+		s.bad = s.bad || string(key) != "moves" || seen
+		seen = true
+		more := s.open('[', ']')
+		if more {
+			n := min(bytes.Count(body, []byte{'}'}), len(body)/minUserBytes)
+			moves = make([]UserJSON, 0, n)
+			idEnd = make([]uint32, 0, n)
+			ids = make([]byte, 0, len(body)/4)
+		}
+		for ; more; more = s.next(']') {
+			id, loc := s.user()
+			ids = append(ids, id...)
+			idEnd = append(idEnd, uint32(len(ids)))
+			moves = append(moves, UserJSON{X: loc.X, Y: loc.Y})
+		}
+	}
+	if s.ws(); s.bad || s.negZero || s.i != len(body) {
+		return nil, false
+	}
+	backing := string(ids)
+	from := uint32(0)
+	for i, to := range idEnd {
+		moves[i].ID = backing[from:to]
+		from = to
+	}
+	return moves, true
+}
+
 // scanner is a cursor over a body in the plain grammar. The first token
 // that is not what the grammar wants next sets bad, which is sticky and
 // ends every loop at its next member; until then the parsers may return
@@ -146,6 +222,9 @@ type scanner struct {
 	b   []byte
 	i   int
 	bad bool
+	// negZero records a "-0" literal: an integer field takes it as 0, a
+	// float64 field as negative zero.
+	negZero bool
 }
 
 // ws skips JSON whitespace.
@@ -233,6 +312,7 @@ func (s *scanner) integer() int64 {
 	}
 	if neg {
 		v = -v
+		s.negZero = s.negZero || v == 0
 	}
 	return v
 }
