@@ -14,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"policyanon/internal/geo"
+	"policyanon/internal/location"
 	"policyanon/internal/motion"
 	"policyanon/internal/workload"
 )
@@ -159,11 +161,11 @@ func requireMovesOracle(t *testing.T, body []byte) {
 		t.Fatalf("%q: %d moves, json gives %d and %d", body, len(moves), len(syncReq.Moves), len(stream.Moves))
 	}
 	for i, m := range moves {
-		if m != syncReq.Moves[i] {
-			t.Fatalf("%q: move %d is %+v, MovesRequest has %+v", body, i, m, syncReq.Moves[i])
+		if w := syncReq.Moves[i]; m != (location.Record{UserID: w.ID, Loc: geo.Point{X: w.X, Y: w.Y}}) {
+			t.Fatalf("%q: move %d is %+v, MovesRequest has %+v", body, i, m, w)
 		}
 		f := stream.Moves[i]
-		if m.ID != f.ID || math.Float64bits(float64(m.X)) != math.Float64bits(f.X) || math.Float64bits(float64(m.Y)) != math.Float64bits(f.Y) {
+		if m.UserID != f.ID || math.Float64bits(float64(m.Loc.X)) != math.Float64bits(f.X) || math.Float64bits(float64(m.Loc.Y)) != math.Float64bits(f.Y) {
 			t.Fatalf("%q: move %d is %+v, StreamMovesRequest has %+v", body, i, m, f)
 		}
 	}

@@ -692,14 +692,14 @@ func (s *Server) handleMoves(w http.ResponseWriter, r *http.Request) {
 	info, _ := engine.InfoOf(name)
 	idxs := make([]int, len(moves))
 	for n, m := range moves {
-		idx := s.db.Index(m.ID)
+		idx := s.db.Index(m.UserID)
 		if idx < 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("unknown user %q", m.ID))
+			httpError(w, http.StatusBadRequest, fmt.Errorf("unknown user %q", m.UserID))
 			return
 		}
-		if !s.bounds.Contains(geo.Point{X: m.X, Y: m.Y}) {
+		if !s.bounds.Contains(m.Loc) {
 			s.reg.Counter("moves_rejected:bounds").Inc()
-			httpError(w, http.StatusBadRequest, fmt.Errorf("move %q: destination (%d,%d) outside map bounds", m.ID, m.X, m.Y))
+			httpError(w, http.StatusBadRequest, fmt.Errorf("move %q: destination (%d,%d) outside map bounds", m.UserID, m.Loc.X, m.Loc.Y))
 			return
 		}
 		idxs[n] = idx
@@ -733,8 +733,8 @@ func (s *Server) handleMoves(w http.ResponseWriter, r *http.Request) {
 			s.anon = nil
 		}
 		for n, m := range moves {
-			if err := s.pub.Move(idxs[n], geo.Point{X: m.X, Y: m.Y}); err != nil {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("move %q: %w", m.ID, err))
+			if err := s.pub.Move(idxs[n], m.Loc); err != nil {
+				httpError(w, http.StatusBadRequest, fmt.Errorf("move %q: %w", m.UserID, err))
 				return
 			}
 		}
@@ -757,7 +757,7 @@ func (s *Server) handleMoves(w http.ResponseWriter, r *http.Request) {
 		}
 		dest := make(map[int]geo.Point, len(idxs))
 		for n, m := range moves {
-			dest[idxs[n]] = geo.Point{X: m.X, Y: m.Y}
+			dest[idxs[n]] = m.Loc
 		}
 		next := s.db.CloneWithMoves(dest)
 		policy, err = s.runEngine(s.obsCtx(r), eng, next, s.bounds, engine.Params{K: s.k, Opts: s.snapOpts})

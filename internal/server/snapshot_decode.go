@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strings"
 
 	"policyanon/internal/geo"
 	"policyanon/internal/location"
@@ -50,16 +51,25 @@ func decodeSnapshot(body []byte) (SnapshotRequest, []location.Record, error) {
 	if err := json.Unmarshal(body, &req); err != nil {
 		return SnapshotRequest{}, nil, err
 	}
-	recs := make([]location.Record, len(req.Users))
-	for i, u := range req.Users {
-		recs[i] = location.Record{UserID: u.ID, Loc: geo.Point{X: u.X, Y: u.Y}}
-	}
+	recs := records(req.Users)
 	req.Users = nil
 	return req, recs, nil
 }
 
-// minUserBytes is the shortest user object the plain grammar admits,
-// {"id":"","x":0,"y":0}, and so bounds the user count of a body.
+// records converts users from their wire type.
+func records(users []UserJSON) []location.Record {
+	recs := make([]location.Record, len(users))
+	for i, u := range users {
+		recs[i] = location.Record{UserID: u.ID, Loc: geo.Point{X: u.X, Y: u.Y}}
+	}
+	return recs
+}
+
+// minUserBytes is the length of the shortest canonical user,
+// {"id":"","x":0,"y":0}. It caps usersArray's first guess at how many
+// users an array holds, so braces inside ids cannot inflate the guess
+// past a small multiple of the body; an array of shorter users, such as
+// {}, grows the records past it.
 const minUserBytes = 21
 
 // scanSnapshot is the one-pass decoder of the plain grammar: objects
@@ -78,12 +88,8 @@ func scanSnapshot(body []byte) (req SnapshotRequest, recs []location.Record, ok 
 		seenOpts
 		seenUsers
 	)
-	var (
-		s     = scanner{b: body}
-		seen  int
-		ids   []byte   // the ids, concatenated in wire order
-		idEnd []uint32 // idEnd[i] is where user i's id ends in ids
-	)
+	s := scanner{b: body}
+	seen := 0
 	for more := s.open('{', '}'); more; more = s.next('}') {
 		bit := 0
 		switch string(s.key()) {
@@ -107,46 +113,30 @@ func scanSnapshot(body []byte) (req SnapshotRequest, recs []location.Record, ok 
 			}
 		case "users":
 			bit = seenUsers
-			more := s.open('[', ']')
-			if more {
-				n := min(bytes.Count(body, []byte{'}'}), len(body)/minUserBytes)
-				recs = make([]location.Record, 0, n)
-				idEnd = make([]uint32, 0, n)
-				ids = make([]byte, 0, len(body)/4)
-			}
-			for ; more; more = s.next(']') {
-				id, loc := s.user()
-				ids = append(ids, id...)
-				idEnd = append(idEnd, uint32(len(ids)))
-				recs = append(recs, location.Record{Loc: loc})
-			}
+			recs = s.usersArray()
 		default:
 			s.bad = true
 		}
 		s.bad = s.bad || seen&bit != 0
 		seen |= bit
 	}
-	if s.ws(); s.bad || s.i != len(body) {
+	if !s.atEnd() {
 		return SnapshotRequest{}, nil, false
-	}
-	backing := string(ids)
-	from := uint32(0)
-	for i, to := range idEnd {
-		recs[i].UserID = backing[from:to]
-		from = to
 	}
 	return req, recs, true
 }
 
 // decodeMoves decodes a /v1/moves body for the synchronous protocol: the
 // plain grammar through scanMoves, any other body through json.Unmarshal.
-func decodeMoves(body []byte) ([]UserJSON, error) {
+func decodeMoves(body []byte) ([]location.Record, error) {
 	if moves, ok := scanMoves(body); ok {
 		return moves, nil
 	}
 	var req MovesRequest
-	err := json.Unmarshal(body, &req)
-	return req.Moves, err
+	if err := json.Unmarshal(body, &req); err != nil {
+		return nil, err
+	}
+	return records(req.Moves), nil
 }
 
 // decodeStreamMoves decodes a /v1/moves body for the streaming protocol,
@@ -156,7 +146,7 @@ func decodeStreamMoves(body []byte) ([]motion.Update, error) {
 	if moves, ok := scanMoves(body); ok {
 		ups := make([]motion.Update, len(moves))
 		for i, m := range moves {
-			ups[i] = motion.Update{UserID: m.ID, X: float64(m.X), Y: float64(m.Y)}
+			ups[i] = motion.Update{UserID: m.UserID, X: float64(m.Loc.X), Y: float64(m.Loc.Y)}
 		}
 		return ups, nil
 	}
@@ -176,39 +166,17 @@ func decodeStreamMoves(body []byte) ([]motion.Update, error) {
 // them, ids again substrings of one backing string. Beyond what
 // scanSnapshot declines it declines a "-0" coordinate, which the
 // streaming protocol's float64 fields would decode as negative zero.
-func scanMoves(body []byte) (moves []UserJSON, ok bool) {
-	var (
-		s     = scanner{b: body}
-		seen  bool
-		ids   []byte
-		idEnd []uint32
-	)
+func scanMoves(body []byte) (moves []location.Record, ok bool) {
+	s := scanner{b: body}
+	seen := false
 	for more := s.open('{', '}'); more; more = s.next('}') {
 		key := s.key()
 		s.bad = s.bad || string(key) != "moves" || seen
 		seen = true
-		more := s.open('[', ']')
-		if more {
-			n := min(bytes.Count(body, []byte{'}'}), len(body)/minUserBytes)
-			moves = make([]UserJSON, 0, n)
-			idEnd = make([]uint32, 0, n)
-			ids = make([]byte, 0, len(body)/4)
-		}
-		for ; more; more = s.next(']') {
-			id, loc := s.user()
-			ids = append(ids, id...)
-			idEnd = append(idEnd, uint32(len(ids)))
-			moves = append(moves, UserJSON{X: loc.X, Y: loc.Y})
-		}
+		moves = s.usersArray()
 	}
-	if s.ws(); s.bad || s.negZero || s.i != len(body) {
+	if !s.atEnd() || s.negZero {
 		return nil, false
-	}
-	backing := string(ids)
-	from := uint32(0)
-	for i, to := range idEnd {
-		moves[i].ID = backing[from:to]
-		from = to
 	}
 	return moves, true
 }
@@ -270,19 +238,29 @@ func (s *scanner) next(closing byte) bool {
 func (s *scanner) str() []byte {
 	if s.eat('"') {
 		start := s.i
-		for ; s.i < len(s.b); s.i++ {
-			switch c := s.b[s.i]; {
-			case c == '"':
-				s.i++
-				return s.b[start : s.i-1]
-			case c < 0x20 || c == '\\' || c >= 0x80:
-				s.bad = true
-				return nil
-			}
+		end, ok := strEnd(s.b, start)
+		if s.i = end; ok {
+			s.i++
+			return s.b[start:end]
 		}
 	}
 	s.bad = true
 	return nil
+}
+
+// strEnd finds the closing quote of the string whose contents start at
+// b[i]; ok is false, and end where it stopped, if a control byte, a
+// backslash, a non-ASCII byte or the end of b comes first.
+func strEnd(b []byte, i int) (end int, ok bool) {
+	for ; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			return i, true
+		case c < 0x20 || c == '\\' || c >= 0x80:
+			return i, false
+		}
+	}
+	return i, false
 }
 
 // key consumes an object key and the colon after it.
@@ -292,29 +270,35 @@ func (s *scanner) key() []byte {
 	return k
 }
 
-// integer consumes a JSON integer literal of at most 18 digits: an
-// optional minus, then 0 or a digit string without a leading zero. A
-// fraction, an exponent or a further digit after it is left unconsumed,
-// where next rejects it.
+// integer consumes a JSON integer literal (integerAt) after whitespace.
 func (s *scanner) integer() int64 {
-	neg := s.eat('-')
-	start := s.i
-	var v int64
-	for s.i < len(s.b) && s.b[s.i]-'0' <= 9 {
-		v = v*10 + int64(s.b[s.i]-'0')
-		s.i++
+	s.ws()
+	v, end, neg, ok := integerAt(s.b, s.i)
+	s.i, s.bad, s.negZero = end, s.bad || !ok, s.negZero || neg && v == 0
+	return v
+}
+
+// integerAt reads the JSON integer literal of at most 18 digits at b[i:]:
+// an optional minus, then 0 or a digit string without a leading zero. A
+// fraction, an exponent or a further digit after it starts at end, where
+// next rejects it; ok is false if there are no digits or too many.
+func integerAt(b []byte, i int) (v int64, end int, neg, ok bool) {
+	if neg = i < len(b) && b[i] == '-'; neg {
+		i++
+	}
+	start := i
+	for i < len(b) && b[i]-'0' <= 9 {
+		v = v*10 + int64(b[i]-'0')
+		i++
 		if v == 0 {
 			break // a leading 0 is the whole literal
 		}
 	}
-	if n := s.i - start; n == 0 || n > 18 {
-		s.bad = true
-	}
 	if neg {
 		v = -v
-		s.negZero = s.negZero || v == 0
 	}
-	return v
+	n := i - start
+	return v, i, neg, n > 0 && n <= 18
 }
 
 // int32 consumes an integer literal that fits an int32.
@@ -324,9 +308,96 @@ func (s *scanner) int32() int32 {
 	return int32(v)
 }
 
-// user consumes one element of "users": an object with each of id, x and
-// y at most once, in any order; a missing member is its zero value.
-func (s *scanner) user() (id []byte, loc geo.Point) {
+// usersArray consumes an array of users, as element reads them, and
+// returns them in wire order with their ids substrings of one backing
+// string exactly as long as the ids together; nil for an empty array or
+// a bad scanner.
+func (s *scanner) usersArray() []location.Record {
+	if !s.open('[', ']') {
+		return nil
+	}
+	rest := s.b[s.i:]
+	n := min(bytes.Count(rest, []byte{'}'}), len(rest)/minUserBytes) + 1
+	recs := make([]location.Record, 0, n)
+	ids := make([]span, 0, n)
+	idBytes := 0
+	for more := true; more; more = s.next(']') {
+		id, loc := s.element()
+		ids = append(ids, id)
+		idBytes += int(id.to - id.from)
+		recs = append(recs, location.Record{Loc: loc})
+	}
+	if s.bad {
+		return nil
+	}
+	var all strings.Builder
+	all.Grow(idBytes)
+	for _, id := range ids {
+		all.Write(s.b[id.from:id.to])
+	}
+	backing, from := all.String(), 0
+	for i, id := range ids {
+		to := from + int(id.to-id.from)
+		recs[i].UserID = backing[from:to]
+		from = to
+	}
+	return recs
+}
+
+// span is where an id lies in the body: b[from:to]. A body is at most
+// maxSnapshotBody bytes, far inside uint32.
+type span struct{ from, to uint32 }
+
+// element consumes one element of a user array: by plainUser if it is
+// spelled as every client of this repository spells it, by user if not.
+func (s *scanner) element() (span, geo.Point) {
+	if id, loc, ok := s.plainUser(); ok {
+		return id, loc
+	}
+	return s.user()
+}
+
+// plainUser consumes the user at the cursor if it is spelled exactly
+// {"id":"…","x":N,"y":N}, with no whitespace, and decodes it as user
+// would, through the same strEnd and integerAt. ok is false, and the
+// scanner untouched, for any other spelling and for a -0, whose sign
+// only user records.
+func (s *scanner) plainUser() (id span, loc geo.Point, ok bool) {
+	const head, xKey, yKey = `{"id":"`, `","x":`, `,"y":`
+	b, i := s.b, s.i
+	if !hasAt(b, i, head) {
+		return
+	}
+	from := i + len(head)
+	to, ok := strEnd(b, from)
+	if !ok || !hasAt(b, to, xKey) {
+		return id, loc, false
+	}
+	if loc.X, i, ok = int32At(b, to+len(xKey)); !ok || !hasAt(b, i, yKey) {
+		return id, loc, false
+	}
+	if loc.Y, i, ok = int32At(b, i+len(yKey)); !ok || !hasAt(b, i, "}") {
+		return id, loc, false
+	}
+	s.i = i + 1
+	return span{uint32(from), uint32(to)}, loc, true
+}
+
+// hasAt reports whether b[i:] starts with lit.
+func hasAt(b []byte, i int, lit string) bool {
+	return len(b)-i >= len(lit) && string(b[i:i+len(lit)]) == lit
+}
+
+// int32At reads the integer literal at b[i:] as int32 does; ok is false
+// for a -0 and for anything int32 would not take.
+func int32At(b []byte, i int) (v int32, end int, ok bool) {
+	w, end, neg, ok := integerAt(b, i)
+	return int32(w), end, ok && !(neg && w == 0) && int64(int32(w)) == w
+}
+
+// user consumes one element of a user array: an object with each of id,
+// x and y at most once, in any order; a missing member is its zero value.
+func (s *scanner) user() (id span, loc geo.Point) {
 	const (
 		seenID = 1 << iota
 		seenX
@@ -338,7 +409,9 @@ func (s *scanner) user() (id []byte, loc geo.Point) {
 		switch string(s.key()) {
 		case "id":
 			bit = seenID
-			id = s.str()
+			str := s.str()
+			end := s.i - 1 // the closing quote
+			id = span{uint32(end - len(str)), uint32(end)}
 		case "x":
 			bit = seenX
 			loc.X = s.int32()
