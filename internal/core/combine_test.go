@@ -66,6 +66,34 @@ func TestMinPlusMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestFoldRunsMatchesNaive holds the run-merge fold to the pair-by-pair
+// convolution on every short length pair and cut, on i.i.d. rows (runs of
+// one or two entries) and rows in convex pieces, both with inf holes.
+func TestFoldRunsMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	cs := getScratch(0)
+	defer putScratch(cs)
+	draw := func(n int) []int64 {
+		if rng.Intn(2) == 0 {
+			return randRow(rng, n-1, n, 8, 0.2).costs
+		}
+		return convexRow(rng, n-1, n, 1+rng.Intn(3), 8, 0.1).costs
+	}
+	for la := 1; la <= 20; la++ {
+		for lb := 1; lb <= 20; lb++ {
+			a, b := draw(la), draw(lb)
+			for n := 1; n <= la+lb-1; n++ {
+				want := naiveMinPlus(n, a, b)
+				got := slices.Repeat([]int64{inf}, n)
+				foldRunsOnly(cs, got, a, b)
+				if !slices.Equal(got, want) {
+					t.Fatalf("la=%d lb=%d n=%d:\n got %v\nwant %v", la, lb, n, got, want)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkMinPlus is the fold kernel alone on two dense rows of the
 // length a node near the root of a 100k-user tree combines at k = 50
 // ((k+1)·h with h around 12), cut where such a node's fold is cut.
@@ -82,6 +110,25 @@ func BenchmarkMinPlus(b *testing.B) {
 	}
 }
 
+// BenchmarkMinPlusPieces is BenchmarkMinPlus's fold on rows of the same
+// length and cut in three convex pieces each — the median piece count of
+// the DP's rows — folded by run merges (splitting the rows included).
+// Against BenchmarkMinPlus it prices one merge step in minPlus pairs
+// (mergeStepPairs).
+func BenchmarkMinPlusPieces(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	r0 := convexRow(rng, 611, 5000, 3, 1<<30, 0)
+	r1 := convexRow(rng, 611, 5000, 3, 1<<30, 0)
+	cs := getScratch(0)
+	defer putScratch(cs)
+	out := slices.Repeat([]int64{inf}, 663+50)
+	b.SetBytes(int64(len(out)) * 8)
+	for b.Loop() {
+		foldRunsOnly(cs, out, r0.costs, r1.costs)
+	}
+	b.ReportMetric(float64(cs.mergeSteps(r0.costs, r1.costs)), "steps/op")
+}
+
 // BenchmarkCombine is the bulk combine alone — NewMatrix over a built
 // tree, the layer benchmark/ reports as core.combine_ms — on one worker
 // and on the automatic worker count.
@@ -96,6 +143,53 @@ func BenchmarkCombine(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+			})
+		}
+	}
+}
+
+// BenchmarkUpdate is the incremental maintenance of a /v1/moves batch
+// alone — Matrix.Update after a batch of tree moves, the layer benchmark/
+// reports as core.update_ms — at the moves_publish workload's 20k users
+// and at 100k, k = 50, with 64- and 512-move batches. As in that workload
+// the users move round-robin in a seeded order, each by at most 190 m;
+// the tree moves run off the clock.
+func BenchmarkUpdate(b *testing.B) {
+	for _, users := range []int{20000, 100000} {
+		tr := benchTree(b, users)
+		m, err := NewMatrix(tr, 50, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(7))
+		order := rng.Perm(users)
+		next := 0
+		side := workload.DefaultMapSide
+		for _, batch := range []int{64, 512} {
+			b.Run("users="+strconv.Itoa(users)+"/moves="+strconv.Itoa(batch), func(b *testing.B) {
+				rows := 0
+				for b.Loop() {
+					b.StopTimer()
+					for range batch {
+						i := int32(order[next%users])
+						next++
+						p := tr.Point(i)
+						for {
+							dx, dy := rng.Int31n(381)-190, rng.Int31n(381)-190
+							to := geo.Point{X: p.X + dx, Y: p.Y + dy}
+							if dx*dx+dy*dy <= 190*190 && to.X >= 0 && to.Y >= 0 && to.X < side && to.Y < side {
+								p = to
+								break
+							}
+						}
+						if err := tr.Move(i, p); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StartTimer()
+					rows += m.Update()
+				}
+				b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
 			})
 		}
 	}

@@ -156,10 +156,58 @@ func randRow(rng *rand.Rand, bound, d int, maxCost int64, holes float64) row {
 	return r
 }
 
+// convexRow is a child row of the shape the DP's rows have: d, and bound+1
+// costs in convex pieces of random lengths (about pieces of them) —
+// slopes rising within a piece, falling or jumping between pieces — with
+// inf holes. Slopes come from a range as narrow as 2 half of the time,
+// so that equal slopes, the ties of a merge, are common.
+func convexRow(rng *rand.Rand, bound, d, pieces int, maxCost int64, holes float64) row {
+	r := row{d: int32(d), bound: int32(bound)}
+	span := []int64{2, 2, 8, 1 << 10}[rng.Intn(4)]
+	for len(r.costs) <= bound {
+		n := 1 + rng.Intn(2*(bound+1)/pieces+1)
+		c, slope := rng.Int63n(maxCost), rng.Int63n(2*span+1)-span
+		for ; n > 0 && len(r.costs) <= bound; n-- {
+			r.costs = append(r.costs, c)
+			c += slope
+			slope += rng.Int63n(span/2 + 1)
+		}
+	}
+	if len(r.costs) == 0 {
+		return r
+	}
+	shift := rng.Int63n(maxCost) - slices.Min(r.costs)
+	for u := range r.costs {
+		r.costs[u] += shift
+		if rng.Float64() < holes {
+			r.costs[u] = inf
+		}
+	}
+	return r
+}
+
+// foldRunsOnly is the dense fold by run merges whatever they cost.
+func foldRunsOnly(cs *combineScratch, out, c0, c1 []int64) {
+	cs.splitRuns(c0, c1)
+	foldRuns(cs, out, c0, c1)
+}
+
+// denseFolds are the two halves of the combine's dense fold, forced.
+var denseFolds = map[string]denseFold{"foldMinPlus": foldMinPlus, "foldRuns": foldRunsOnly}
+
+// combineWith is combinePair with the given dense fold.
+func combineWith(cs *combineScratch, r, r0, r1 *row, area int64, k int, dense denseFold) {
+	p := foldPairTrunc(cs, r0, r1, int(r.bound)+k, area, dense)
+	rowFromProfile(cs, r, p.js, p.costs, area, k)
+}
+
 // checkFoldPair compares the truncated and the full fold on one randomly
-// drawn pair of child rows and one parent bound. Costs are drawn from a
-// range as narrow as 4 values half of the time: the witnesses differ only
-// on ties, and wide ranges hardly ever tie.
+// drawn pair of child rows and one parent bound, with the combine's dense
+// fold and with each of its halves forced. A child row is drawn i.i.d.
+// (randRow: runs of one or two entries) or in convex pieces (convexRow:
+// the merge's shape) at random. Costs are drawn from a range as narrow as
+// 4 values half of the time: the witnesses differ only on ties, and wide
+// ranges hardly ever tie.
 func checkFoldPair(t *testing.T, seed int64, k int, area int64, holes float64) {
 	rng := rand.New(rand.NewSource(seed))
 	maxCost := []int64{4, 16, 1 << 8, 1 << 20}[rng.Intn(4)]
@@ -168,7 +216,11 @@ func checkFoldPair(t *testing.T, seed int64, k int, area int64, holes float64) {
 			return randRow(rng, -1, rng.Intn(k), maxCost, holes)
 		}
 		b := rng.Intn(40)
-		return randRow(rng, b, b+k+rng.Intn(30), maxCost, holes)
+		d := b + k + rng.Intn(30)
+		if rng.Intn(2) == 0 {
+			return convexRow(rng, b, d, 1+rng.Intn(6), maxCost, holes/4)
+		}
+		return randRow(rng, b, d, maxCost, holes)
 	}
 	r0, r1 := child(), child()
 	d := r0.d + r1.d
@@ -184,10 +236,55 @@ func checkFoldPair(t *testing.T, seed int64, k int, area int64, holes float64) {
 	got := row{d: d, bound: bound, costs: make([]int64, bound+1)}
 	combinePair(cs, &got, &r0, &r1, area, k)
 	requireSameRow(t, "random rows", &want, &got)
+	for name, dense := range denseFolds {
+		combineWith(cs, &got, &r0, &r1, area, k, dense)
+		requireSameRow(t, name, &want, &got)
+	}
 	for j, c := range cs.fold {
 		if c != inf {
 			t.Fatalf("fold[%d] = %d left behind", j, c)
 		}
+	}
+}
+
+// TestFoldKernelsAgreeOnInstallRows re-folds every two-child row of a
+// 20k-user install's matrix by minPlus alone and by run merges alone: both
+// must give the installed row, costs and jpick bit for bit. It also
+// requires that the combine's cost rule merges most of these rows, the
+// shape the merge is there for.
+func TestFoldKernelsAgreeOnInstallRows(t *testing.T) {
+	const k = 50
+	tr := benchTree(t, 20000)
+	m, err := NewMatrix(tr, k, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := getScratch(tr.Len() + 1)
+	defer putScratch(cs)
+	pairs, merged := 0, 0
+	tr.PostOrder(func(id tree.NodeID) {
+		kids := tr.Children(id)
+		r := &m.rows[id]
+		if len(kids) != 2 || r.bound < 0 {
+			return
+		}
+		r0, r1 := &m.rows[kids[0]], &m.rows[kids[1]]
+		for name, dense := range denseFolds {
+			got := row{d: r.d, bound: r.bound, costs: make([]int64, r.bound+1)}
+			combineWith(cs, &got, r0, r1, tr.Area(id), k, dense)
+			requireSameRow(t, name, r, &got)
+		}
+		if len(r0.costs) > 0 && len(r1.costs) > 0 {
+			pairs++
+			cs.splitRuns(r0.costs, r1.costs)
+			top := min(int(r.bound)+k, int(r.d), len(r0.costs)+len(r1.costs)-2)
+			if mergeStepPairs*cs.mergeSteps(r0.costs, r1.costs) <= trianglePairs(len(r0.costs), len(r1.costs), top) {
+				merged++
+			}
+		}
+	})
+	if pairs < 100 || 2*merged < pairs {
+		t.Fatalf("%d of %d dense folds merge runs", merged, pairs)
 	}
 }
 

@@ -479,7 +479,7 @@ func foldRows(cs *combineScratch, rows []*row, prefixes *[]profile) profile {
 // two-child fold (foldPair, kept in the tests as the oracle) followed by
 // rowFromProfile would, costs and jpick alike.
 func combinePair(cs *combineScratch, r, r0, r1 *row, area int64, k int) {
-	p := foldPairTrunc(cs, r0, r1, int(r.bound)+k, area)
+	p := foldPairTrunc(cs, r0, r1, int(r.bound)+k, area, foldDense)
 	rowFromProfile(cs, r, p.js, p.costs, area, k)
 }
 
@@ -492,21 +492,17 @@ func combinePair(cs *combineScratch, r, r0, r1 *row, area int64, k int) {
 // computed on the triangle u0+u1 ≤ lim of the dense min-plus convolution,
 // plus the two shifted copies of the dense parts (the other child passing
 // everything up for free) clipped to lim, and everything above lim becomes
-// one tail entry (pairTail). When lim ≥ d0+d1 nothing is cut. The profile
-// lives in the scratch's arena until the next combine.
-func foldPairTrunc(cs *combineScratch, r0, r1 *row, lim int, area int64) profile {
+// one tail entry (pairTail). When lim ≥ d0+d1 nothing is cut. dense folds
+// the triangle (foldDense in the combine). The profile lives in the
+// scratch's arena until the next combine.
+func foldPairTrunc(cs *combineScratch, r0, r1 *row, lim int, area int64, dense denseFold) profile {
 	maxJ := int(r0.d) + int(r1.d)
 	top := min(lim, maxJ)
 	cs.ensureFold(top + 1)
 	fold := cs.fold
 	c0s, c1s := r0.costs, r1.costs
 	if len(c0s) > 0 && len(c1s) > 0 {
-		// The shorter row is walked, the longer reversed: see minPlus.
-		a, b := c0s, c1s
-		if len(a) > len(b) {
-			a, b = b, a
-		}
-		minPlus(fold[:min(top+1, len(a)+len(b)-1)], a, cs.reversed(b))
+		dense(cs, fold[:min(top+1, len(c0s)+len(c1s)-1)], c0s, c1s)
 	}
 	for u0 := 0; u0 < len(c0s) && int(r1.d)+u0 <= top; u0++ {
 		if j := int(r1.d) + u0; c0s[u0] < fold[j] {
@@ -536,6 +532,145 @@ func foldPairTrunc(cs *combineScratch, r0, r1 *row, lim int, area int64) profile
 	}
 	cs.jsA, cs.costsA = js, costs
 	return profile{js: js, costs: costs}
+}
+
+// mergeStepPairs is what one step of mergeRuns costs in pairs of minPlus:
+// foldDense merges runs unless the merge steps, so weighted, outnumber
+// the pairs of the dense triangle. Measured with BenchmarkMinPlus and
+// BenchmarkMinPlusPieces (docs/PERFORMANCE.md §3h).
+const mergeStepPairs = 4
+
+// denseFold writes the dense min-plus convolution of two child rows' cost
+// ranges, cut to its first len(out) totals, into out, which holds inf on
+// entry. foldDense is the one the combine uses; the tests hold its two
+// halves, foldMinPlus and foldRuns, to each other.
+type denseFold func(cs *combineScratch, out, c0, c1 []int64)
+
+// foldDense is the dense part of the two-child combine. It splits each row
+// into its maximal convex runs of finite entries and, unless the merges of
+// every pair of runs would cost more than the dense triangle, folds by
+// merging (foldRuns); otherwise by the blocked kernel (foldMinPlus). Both
+// write exactly the same out (DESIGN.md §10).
+func foldDense(cs *combineScratch, out, c0, c1 []int64) {
+	cs.splitRuns(c0, c1)
+	if mergeStepPairs*cs.mergeSteps(c0, c1) > trianglePairs(len(c0), len(c1), len(out)-1) {
+		foldMinPlus(cs, out, c0, c1)
+		return
+	}
+	foldRuns(cs, out, c0, c1)
+}
+
+// foldMinPlus is the dense fold by minPlus, for rows of many runs: the
+// shorter row is walked, the longer reversed.
+func foldMinPlus(cs *combineScratch, out, c0, c1 []int64) {
+	if len(c0) > len(c1) {
+		c0, c1 = c1, c0
+	}
+	minPlus(out, c0, cs.reversed(c1))
+}
+
+// foldRuns is the dense fold as an elementwise minimum over every pair of
+// convex runs of c0 and c1 (splitRuns must have split exactly these rows)
+// of the pair's convolution, merged by mergeRuns. Every pair (u0, u1) of
+// finite entries lies in exactly one pair of runs, a pair holding an inf
+// entry lowers no minimum, and a minimum does not depend on the order it
+// is taken in, so out is exactly what minPlus writes. A pair of runs
+// costs the length of its convolution, cut at len(out).
+func foldRuns(cs *combineScratch, out, c0, c1 []int64) {
+	runs0, runs1 := cs.runs[:cs.split], cs.runs[cs.split:]
+	s0s, s1s := cs.slopes[:len(c0)], cs.slopes[len(c0):]
+	for r0 := 0; r0 < len(runs0); r0 += 2 {
+		lo0, hi0 := int(runs0[r0]), int(runs0[r0+1])
+		for r1 := 0; r1 < len(runs1) && lo0+int(runs1[r1]) < len(out); r1 += 2 {
+			lo1, hi1 := int(runs1[r1]), int(runs1[r1+1])
+			lo := lo0 + lo1
+			hi := min(len(out), lo+hi0-lo0+hi1-lo1-1)
+			mergeRuns(out[lo:hi], c0[lo0]+c1[lo1], s0s[lo0:hi0], s1s[lo1:hi1])
+		}
+	}
+}
+
+// splitRuns splits both child rows into convex runs, into the scratch's
+// run and slope buffers: c0's runs, then c1's from split on, and c0's
+// slopes, then c1's from len(c0) on.
+func (cs *combineScratch) splitRuns(c0, c1 []int64) {
+	n := len(c0) + len(c1)
+	if cap(cs.slopes) < n {
+		cs.slopes = make([]int64, n)
+	}
+	cs.runs = convexRuns(cs.runs[:0], cs.slopes[:len(c0)], c0)
+	cs.split = len(cs.runs)
+	cs.runs = convexRuns(cs.runs, cs.slopes[len(c0):n], c1)
+}
+
+// mergeSteps is p0·len(c1) + p1·len(c0) for the run counts p splitRuns
+// found: a bound on the steps foldRuns takes over c0 and c1.
+func (cs *combineScratch) mergeSteps(c0, c1 []int64) int64 {
+	p0, p1 := cs.split/2, (len(cs.runs)-cs.split)/2
+	return int64(p0)*int64(len(c1)) + int64(p1)*int64(len(c0))
+}
+
+// convexRuns splits c into maximal convex runs of finite entries, greedily
+// from the left: a run ends at an inf entry, at the end of c, or where a
+// slope falls below the one before it. It appends each run's [start, end)
+// to runs and writes into slopes[:len(c)] each run entry's slope to its
+// successor, inf at the run's last entry. A run of one entry is followed
+// by an inf entry or ends c, so there are at most (len(c)+1)/2 runs.
+func convexRuns(runs []int32, slopes, c []int64) []int32 {
+	for lo := 0; lo < len(c); {
+		if c[lo] >= inf {
+			lo++
+			continue
+		}
+		hi := lo + 1
+		for ; hi < len(c) && c[hi] < inf; hi++ {
+			s := c[hi] - c[hi-1]
+			if hi > lo+1 && s < slopes[hi-2] {
+				break
+			}
+			slopes[hi-1] = s
+		}
+		slopes[hi-1] = inf
+		runs = append(runs, int32(lo), int32(hi))
+		lo = hi
+	}
+	return runs
+}
+
+// mergeRuns lowers out[t] to the min-plus convolution of two convex runs
+// at t, for t < len(out) ≤ len(as)+len(bs)-1; v is the sum of the runs'
+// first entries, and as and bs are the runs' slopes as convexRuns writes
+// them. The convolution of two convex sequences takes its slopes from
+// both in ascending order, so the walk from (0, 0) that always steps
+// along the smaller slope meets a minimum pair of every total, and the
+// total's value is v plus the slopes stepped along. The inf slope at a
+// run's last entry keeps the walk inside both runs (it meets the other
+// run's inf only at the last total). The step branches: on the DP's rows
+// that beat a branch-free select by 1.2–1.4× in BenchmarkCombine.
+func mergeRuns(out []int64, v int64, as, bs []int64) {
+	i, j := 0, 0
+	for t := range out {
+		out[t] = min(out[t], v)
+		if x, y := as[i], bs[j]; x <= y {
+			v += x
+			i++
+		} else {
+			v += y
+			j++
+		}
+	}
+}
+
+// trianglePairs counts the pairs (u0, u1) in [0, n0) × [0, n1) with
+// u0+u1 ≤ top, by inclusion–exclusion over the triangle u0+u1 ≤ top.
+func trianglePairs(n0, n1, top int) int64 {
+	tri := func(x int) int64 {
+		if x < 0 {
+			return 0
+		}
+		return int64(x+1) * int64(x+2) / 2
+	}
+	return tri(top) - tri(top-n0) - tri(top-n1) + tri(top-n0-n1)
 }
 
 // lanes is minPlus's block width: how many consecutive totals one walk

@@ -36,6 +36,13 @@ type combineScratch struct {
 	// pad is minPlus's reversed copy of the longer child row between
 	// lanes-1 inf entries on each side.
 	pad []int64
+	// runs, split and slopes are foldDense's split of the two child rows
+	// into convex runs ([start, end) pairs, the second row's from split
+	// on) and their slopes, rebuilt at every two-child combine
+	// (splitRuns).
+	runs   []int32
+	split  int
+	slopes []int64
 	// affected and order are Matrix.Update's dirty-closure buffers: the
 	// ancestor-closed set of rows to recompute and its height-sorted walk
 	// list. Update clears affected before returning, so a pooled scratch
@@ -120,6 +127,14 @@ func (cs *combineScratch) ensurePass(foldLen, profileLen int) {
 	}
 	if cap(cs.sfxJ) < n {
 		cs.sfxJ = make([]int32, n)
+	}
+	// Two child rows hold at most as many entries as their parent's
+	// profile, and each has at most (len+1)/2 runs.
+	if cap(cs.runs) < n+1 {
+		cs.runs = make([]int32, 0, n+1)
+	}
+	if cap(cs.slopes) < n {
+		cs.slopes = make([]int64, n)
 	}
 	if cap(cs.pad) < n+2*(lanes-1) {
 		cs.pad = make([]int64, n+2*(lanes-1))

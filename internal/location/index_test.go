@@ -2,6 +2,7 @@ package location
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -123,4 +124,79 @@ func min32(a, b int32) int32 {
 		return a
 	}
 	return b
+}
+
+// TestGridMatchesScanOnEdges holds CountInClosed and UsersInClosed to the
+// Definition 5 scan of the snapshot on random rectangles drawn to hit the
+// grid's edges: sides on cell boundaries and one off them, rectangles
+// reaching past the bounds on any side or lying wholly outside, lines,
+// points and inverted rectangles, over bounds away from the origin and
+// cell sides from 1 to wider than the map.
+func TestGridMatchesScanOnEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 60; trial++ {
+		minX, minY := rng.Int31n(2000)-1000, rng.Int31n(2000)-1000
+		w, h := 1+rng.Int31n(300), 1+rng.Int31n(300)
+		bounds := geo.NewRect(minX, minY, minX+w, minY+h)
+		db := New(0)
+		for i := 0; i < rng.Intn(400); i++ {
+			p := geo.Point{X: minX + rng.Int31n(w), Y: minY + rng.Int31n(h)}
+			if rng.Intn(5) == 0 { // on the far edges
+				p.X = bounds.MaxX - 1
+			}
+			if err := db.Add("e"+itoa(i), p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cell := []int32{0, 1, 7, 16, 1000}[rng.Intn(5)]
+		g, err := NewGrid(db, bounds, cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// coord draws a coordinate near a cell boundary, a bound, or
+		// anywhere, on the axis [lo, lo+span).
+		coord := func(lo, span int32) int32 {
+			switch rng.Intn(4) {
+			case 0: // a cell boundary, or one off it
+				return lo + g.cell*rng.Int31n(span/g.cell+2) + rng.Int31n(3) - 1
+			case 1: // a bound, or one off it
+				return []int32{lo, lo + span}[rng.Intn(2)] + rng.Int31n(3) - 1
+			case 2: // outside
+				return lo - 50 + rng.Int31n(span+100)
+			}
+			return lo + rng.Int31n(span)
+		}
+		for q := 0; q < 200; q++ {
+			r := geo.Rect{MinX: coord(minX, w), MinY: coord(minY, h)}
+			r.MaxX, r.MaxY = coord(minX, w), coord(minY, h)
+			switch rng.Intn(6) {
+			case 0: // a vertical line
+				r.MaxX = r.MinX
+			case 1: // a point
+				r.MaxX, r.MaxY = r.MinX, r.MinY
+			}
+			want := bruteCountClosed(db, r)
+			if got := g.CountInClosed(r); got != want {
+				t.Fatalf("bounds %v cell %d: CountInClosed(%v) = %d, want %d", bounds, g.cell, r, got, want)
+			}
+			requireUsers(t, db, g, r)
+		}
+	}
+}
+
+// requireUsers fails unless UsersInClosed(r) lists exactly the records
+// inside r, each once.
+func requireUsers(t *testing.T, db *DB, g *Grid, r geo.Rect) {
+	t.Helper()
+	var want []int32
+	for i, rec := range db.Records() {
+		if r.ContainsClosed(rec.Loc) {
+			want = append(want, int32(i))
+		}
+	}
+	got := g.UsersInClosed(r)
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("UsersInClosed(%v) = %v, want %v", r, got, want)
+	}
 }
