@@ -144,7 +144,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 	b.Run("save", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var buf bytes.Buffer
-			if err := checkpoint.Save(&buf, benchK, benchData().Bounds, pol); err != nil {
+			if err := checkpoint.Save(&buf, &checkpoint.State{K: benchK, Bounds: benchData().Bounds, Policy: pol}); err != nil {
 				b.Fatal(err)
 			}
 			size = buf.Len()
@@ -152,7 +152,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 		b.ReportMetric(float64(size), "bytes")
 	})
 	var blob bytes.Buffer
-	if err := checkpoint.Save(&blob, benchK, benchData().Bounds, pol); err != nil {
+	if err := checkpoint.Save(&blob, &checkpoint.State{K: benchK, Bounds: benchData().Bounds, Policy: pol}); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("load", func(b *testing.B) {

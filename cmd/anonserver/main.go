@@ -11,8 +11,6 @@
 //	POST /v1/request/batch  many LBS rounds in one call (amortized hot path)
 //	GET  /v1/stats          CSP serving counters (cache, coalescing, POIs)
 //	GET  /v1/engines        the anonymization-engine registry
-//	GET  /v1/checkpoint     serialize current state to the response
-//	POST /v1/restore        restore state from a checkpoint body
 //	GET  /v1/motion         streaming-ingest loop statistics (-motion)
 //	GET  /v1/metrics        metrics registry (JSON or ?format=prometheus)
 //	GET  /v1/audit          privacy observatory rolling report
@@ -32,10 +30,12 @@
 // lookups serve the installed engine only: compare engines offline with
 // anoncli -engine or lbsbench -exp engines.
 //
-// With -state, the server restores the snapshot and policy from the file
-// at startup (when it exists) and checkpoints back to it on SIGINT or
-// SIGTERM, so a restarted server resumes serving cloak lookups without
-// recomputation.
+// With -state, the server restores the snapshot, policy and engine from
+// the file at startup (when it exists) and checkpoints back to it on
+// SIGINT or SIGTERM, so a restarted server resumes serving cloak lookups
+// without recomputation. A policy that is not policy-aware k-anonymous
+// (the k-inside baselines) is not checkpointed. No HTTP route serves the
+// file: it holds every user's exact location.
 //
 // With -motion, POST /v1/moves switches to streaming ingest: updates are
 // validated and queued (202 Accepted) and a maintenance loop applies
@@ -130,8 +130,6 @@ const endpointList = `  GET  /healthz           readiness (200 once a snapshot i
   POST /v1/request/batch  many LBS rounds in one call (amortized hot path)
   GET  /v1/stats          CSP serving counters (cache, coalescing, POIs)
   GET  /v1/engines        the anonymization-engine registry
-  GET  /v1/checkpoint     serialize current state to the response
-  POST /v1/restore        restore state from a checkpoint body
   GET  /v1/motion         streaming-ingest loop statistics (-motion)
   GET  /v1/metrics        metrics registry (JSON or ?format=prometheus)
   GET  /v1/audit          privacy observatory rolling report
@@ -422,7 +420,7 @@ func saveSnapshotState(path string, snap *motion.Snapshot) error {
 	if err != nil {
 		return err
 	}
-	if err := checkpoint.Save(f, snap.K, snap.Bounds, snap.Policy); err != nil {
+	if err := checkpoint.Save(f, &checkpoint.State{K: snap.K, Bounds: snap.Bounds, Policy: snap.Policy, Engine: snap.Engine, Opts: snap.Opts}); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

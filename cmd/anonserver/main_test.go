@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"os"
@@ -9,12 +10,20 @@ import (
 	"strings"
 	"testing"
 
+	"policyanon/internal/motion"
 	"policyanon/internal/server"
 )
 
 // installTestSnapshot primes a server with a small snapshot via its own
 // HTTP handler, exactly as the daemon would receive it.
 func installTestSnapshot(t *testing.T, srv *server.Server) {
+	t.Helper()
+	installTestSnapshotQuery(t, srv, "")
+}
+
+// installTestSnapshotQuery is installTestSnapshot with a query string
+// ("?engine=...").
+func installTestSnapshotQuery(t *testing.T, srv *server.Server, query string) {
 	t.Helper()
 	users := []server.UserJSON{}
 	for i := 0; i < 12; i++ {
@@ -27,7 +36,7 @@ func installTestSnapshot(t *testing.T, srv *server.Server) {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
-	req := httptest.NewRequest("POST", "/v1/snapshot", bytes.NewReader(body))
+	req := httptest.NewRequest("POST", "/v1/snapshot"+query, bytes.NewReader(body))
 	srv.Handler().ServeHTTP(rec, req)
 	if rec.Code != 200 {
 		t.Fatalf("snapshot install failed: %d %s", rec.Code, rec.Body)
@@ -98,5 +107,34 @@ func TestWriteCheckpointEmptyServerFails(t *testing.T) {
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatal("failed checkpoint left a temp file behind")
+	}
+}
+
+// TestSaveSnapshotStateKeepsEngine pins the periodic -state write of the
+// motion loop: the file it leaves restores under the engine the snapshot
+// was installed with, not the default.
+func TestSaveSnapshotStateKeepsEngine(t *testing.T) {
+	srv := server.New()
+	srv.EnableMotion(motion.Config{})
+	installTestSnapshotQuery(t, srv, "?engine=hilbert")
+	defer srv.DrainMotion(context.Background())
+	path := filepath.Join(t.TempDir(), "state.ck")
+	if err := saveSnapshotState(path, srv.MotionPipeline().Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fresh := server.New()
+	if err := fresh.RestoreFrom(f); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	rec := httptest.NewRecorder()
+	fresh.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/stats", nil))
+	var st server.Stats
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || st.Engine != "hilbert" {
+		t.Fatalf("restored engine %q (%v), want hilbert", st.Engine, err)
 	}
 }

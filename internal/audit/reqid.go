@@ -11,11 +11,10 @@ import (
 // Request IDs correlate one serving request across the three
 // observability sinks: the structured log line, the obs trace span, and
 // the audit sample. The HTTP layer mints one per request (honouring an
-// incoming X-Request-ID so a coordinator's ID survives the shard hop),
-// threads it through context.Context, and echoes it in the response
-// header; everything below the handler — engine middleware, parallel
-// workers, cluster shard RPCs — reads it from the context it already
-// receives.
+// incoming X-Request-ID so a caller's ID survives the hop), threads it
+// through context.Context, and echoes it in the response header;
+// everything below the handler — engine middleware, parallel workers —
+// reads it from the context it already receives.
 
 // ridKey carries the request ID through a context chain.
 type ridKey struct{}

@@ -1,11 +1,12 @@
 // Package checkpoint serializes an anonymization state — one location
-// snapshot together with its computed policy-aware cloaking — so an
-// anonymization server can restart, or hand over a jurisdiction, without
-// recomputing the optimum configuration matrix. The format is a gob
-// stream wrapped with a magic header, a format version and a CRC32
-// integrity checksum; Load re-validates the masking property and the
+// snapshot together with its computed policy-aware cloaking and the
+// engine that computed it — so an anonymization server can restart
+// without recomputing the optimum configuration matrix. The format is a
+// gob stream wrapped with a magic header, a format version and a CRC32
+// integrity checksum. Load re-validates the masking property and the
 // policy-aware k-anonymity of the restored policy, so a corrupted or
-// tampered checkpoint can never install an unsafe policy.
+// tampered checkpoint can never install an unsafe policy; Save applies
+// the same check, so it never writes a file Load would refuse.
 package checkpoint
 
 import (
@@ -34,16 +35,20 @@ const Version = 1
 // validation.
 var ErrCorrupt = errors.New("checkpoint: corrupt or truncated stream")
 
-// ErrUnsafe is returned when a decoded checkpoint's policy fails the
-// masking or k-anonymity re-validation.
-var ErrUnsafe = errors.New("checkpoint: restored policy failed safety validation")
+// ErrUnsafe is returned when a policy fails the masking or k-anonymity
+// validation: by Load for a decoded checkpoint, by Save before writing.
+var ErrUnsafe = errors.New("checkpoint: policy failed safety validation")
 
-// payload is the gob-encoded body.
+// payload is the gob-encoded body. Engine and Opts were added without a
+// version bump: a body without them decodes with an empty Engine, the
+// default engine.
 type payload struct {
 	Version int
 	K       int
 	Bounds  geo.Rect
 	Users   []userRec
+	Engine  string
+	Opts    map[string]string
 }
 
 type userRec struct {
@@ -52,25 +57,52 @@ type userRec struct {
 	Cloak geo.Rect
 }
 
-// State is a restored anonymization state.
+// State is an anonymization state: what Save writes and Load restores.
 type State struct {
 	K      int
 	Bounds geo.Rect
+	// DB is the policy's snapshot. Save reads it from Policy and ignores
+	// this field.
 	DB     *location.DB
 	Policy *lbs.Assignment
+	// Engine is the registry name of the engine that computed Policy, and
+	// Opts its options; an empty Engine is the default engine.
+	Engine string
+	Opts   map[string]string
 }
 
-// Save writes the checkpoint of a snapshot and its policy.
-func Save(w io.Writer, k int, bounds geo.Rect, policy *lbs.Assignment) error {
-	if policy == nil {
+// Save writes the checkpoint of a policy and its snapshot. It fails with
+// ErrUnsafe, writing nothing, for a policy that Load would refuse.
+func Save(w io.Writer, st *State) error {
+	if st.Policy == nil {
 		return fmt.Errorf("checkpoint: nil policy")
 	}
-	db := policy.DB()
-	p := payload{Version: Version, K: k, Bounds: bounds, Users: make([]userRec, db.Len())}
+	if err := safe(st.Policy, st.K); err != nil {
+		return err
+	}
+	db := st.Policy.DB()
+	p := payload{Version: Version, K: st.K, Bounds: st.Bounds, Users: make([]userRec, db.Len()), Engine: st.Engine, Opts: st.Opts}
 	for i := 0; i < db.Len(); i++ {
 		rec := db.At(i)
-		p.Users[i] = userRec{ID: rec.UserID, Loc: rec.Loc, Cloak: policy.CloakAt(i)}
+		p.Users[i] = userRec{ID: rec.UserID, Loc: rec.Loc, Cloak: st.Policy.CloakAt(i)}
 	}
+	return write(w, p)
+}
+
+// safe is the guarantee every checkpoint carries: the policy is
+// policy-aware k-anonymous on its snapshot for k >= 1.
+func safe(policy *lbs.Assignment, k int) error {
+	if k < 1 {
+		return fmt.Errorf("%w: k=%d", ErrUnsafe, k)
+	}
+	if policy.Len() > 0 && !attacker.IsKAnonymous(policy, k, attacker.PolicyAware) {
+		return fmt.Errorf("%w: policy not policy-aware %d-anonymous", ErrUnsafe, k)
+	}
+	return nil
+}
+
+// write frames and writes one gob-encoded body.
+func write(w io.Writer, p any) error {
 	var body bytes.Buffer
 	if err := gob.NewEncoder(&body).Encode(p); err != nil {
 		return fmt.Errorf("checkpoint: encode: %w", err)
@@ -109,9 +141,11 @@ func Load(r io.Reader) (*State, error) {
 	if size > maxCheckpoint {
 		return nil, fmt.Errorf("%w: implausible payload size %d", ErrCorrupt, size)
 	}
-	body := make([]byte, size)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, fmt.Errorf("%w: missing checksum", ErrCorrupt)
+	// The declared size is trusted only as the bytes arrive: a header
+	// claiming gigabytes over a short stream costs what the stream holds.
+	body, err := io.ReadAll(io.LimitReader(br, int64(size)))
+	if err != nil || uint64(len(body)) != size {
+		return nil, fmt.Errorf("%w: truncated body", ErrCorrupt)
 	}
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(hdr[8:]) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
@@ -122,9 +156,6 @@ func Load(r io.Reader) (*State, error) {
 	}
 	if p.Version != Version {
 		return nil, fmt.Errorf("checkpoint: unsupported version %d", p.Version)
-	}
-	if p.K < 1 {
-		return nil, fmt.Errorf("%w: k=%d", ErrUnsafe, p.K)
 	}
 	recs := make([]location.Record, len(p.Users))
 	cloaks := make([]geo.Rect, len(p.Users))
@@ -140,8 +171,8 @@ func Load(r io.Reader) (*State, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnsafe, err)
 	}
-	if db.Len() > 0 && !attacker.IsKAnonymous(policy, p.K, attacker.PolicyAware) {
-		return nil, fmt.Errorf("%w: restored policy not policy-aware %d-anonymous", ErrUnsafe, p.K)
+	if err := safe(policy, p.K); err != nil {
+		return nil, err
 	}
-	return &State{K: p.K, Bounds: p.Bounds, DB: db, Policy: policy}, nil
+	return &State{K: p.K, Bounds: p.Bounds, DB: db, Policy: policy, Engine: p.Engine, Opts: p.Opts}, nil
 }

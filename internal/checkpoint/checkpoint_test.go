@@ -3,10 +3,9 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
-	"hash/crc32"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -35,7 +34,7 @@ func makeState(t *testing.T, n, k int) (*location.DB, geo.Rect, int, *State) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Save(&buf, k, bounds, pol); err != nil {
+	if err := Save(&buf, &State{K: k, Bounds: bounds, Policy: pol}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Load(&buf)
@@ -92,7 +91,7 @@ func TestCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Save(&buf, 3, bounds, pol); err != nil {
+	if err := Save(&buf, &State{K: 3, Bounds: bounds, Policy: pol}); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -117,11 +116,22 @@ func TestCorruptionDetected(t *testing.T) {
 	if _, err := Load(bytes.NewReader(nil)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("empty stream: %v", err)
 	}
+	// A header declaring 3 GiB over a short stream is refused without
+	// allocating what it declares.
+	huge := append([]byte(nil), good[:20]...)
+	binary.BigEndian.PutUint64(huge[8:16], 3<<30)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Load(bytes.NewReader(huge))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) || after.TotalAlloc-before.TotalAlloc > 1<<20 {
+		t.Fatalf("declared 3 GiB: err %v after allocating %d bytes", err, after.TotalAlloc-before.TotalAlloc)
+	}
 }
 
 func TestUnsafeCheckpointRejected(t *testing.T) {
-	// Build a checkpoint whose policy is NOT k-anonymous for the claimed
-	// k by saving with an inflated k value.
+	// A policy that is NOT k-anonymous for the claimed k (an inflated k
+	// value): Save refuses to write it, and Load refuses a stream of it.
 	rng := rand.New(rand.NewSource(3))
 	db := location.New(10)
 	for i := 0; i < 10; i++ {
@@ -139,7 +149,15 @@ func TestUnsafeCheckpointRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Save(&buf, 9, bounds, pol); err != nil { // claims k=9
+	if err := Save(&buf, &State{K: 9, Bounds: bounds, Policy: pol}); !errors.Is(err, ErrUnsafe) || buf.Len() != 0 { // claims k=9
+		t.Fatalf("Save of an unsafe policy: err %v, %d bytes written", err, buf.Len())
+	}
+	// A stream framed past Save's check is refused by Load.
+	p := payload{Version: Version, K: 9, Bounds: bounds, Users: make([]userRec, db.Len())}
+	for i := range p.Users {
+		p.Users[i] = userRec{ID: db.At(i).UserID, Loc: db.At(i).Loc, Cloak: pol.CloakAt(i)}
+	}
+	if err := write(&buf, p); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(&buf); !errors.Is(err, ErrUnsafe) {
@@ -149,7 +167,7 @@ func TestUnsafeCheckpointRejected(t *testing.T) {
 
 func TestSaveNilPolicy(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Save(&buf, 2, geo.NewRect(0, 0, 4, 4), nil); err == nil {
+	if err := Save(&buf, &State{K: 2, Bounds: geo.NewRect(0, 0, 4, 4)}); err == nil {
 		t.Fatal("nil policy accepted")
 	}
 }
@@ -161,7 +179,7 @@ func TestEmptySnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Save(&buf, 2, geo.NewRect(0, 0, 4, 4), pol); err != nil {
+	if err := Save(&buf, &State{K: 2, Bounds: geo.NewRect(0, 0, 4, 4), Policy: pol}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Load(&buf)
@@ -184,16 +202,51 @@ func TestDuplicateUserRejected(t *testing.T) {
 		{ID: "b", Loc: geo.Point{X: 2, Y: 2}, Cloak: cloak},
 		{ID: "a", Loc: geo.Point{X: 3, Y: 3}, Cloak: cloak},
 	}}
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(p); err != nil {
+	var stream bytes.Buffer
+	if err := write(&stream, p); err != nil {
 		t.Fatal(err)
 	}
-	var hdr [12]byte
-	binary.BigEndian.PutUint64(hdr[:8], uint64(body.Len()))
-	binary.BigEndian.PutUint32(hdr[8:], crc32.ChecksumIEEE(body.Bytes()))
-	stream := append(append(magic[:], hdr[:]...), body.Bytes()...)
-	_, err := Load(bytes.NewReader(stream))
+	_, err := Load(&stream)
 	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), `duplicate user id: "a"`) {
 		t.Fatalf("err = %v, want ErrCorrupt naming the duplicate id \"a\"", err)
+	}
+}
+
+// TestEngineRecorded pins the engine fields: Save records them, Load
+// returns them, and a body written before they existed (no Engine or
+// Opts field at all) still loads, with an empty Engine: the default.
+func TestEngineRecorded(t *testing.T) {
+	_, bounds, k, st := makeState(t, 80, 5)
+	st.Engine, st.Opts = "hilbert", map[string]string{"workers": "2"}
+	var buf bytes.Buffer
+	if err := Save(&buf, st); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Engine != "hilbert" || len(got.Opts) != 1 || got.Opts["workers"] != "2" {
+		t.Fatalf("restored engine %q options %v", got.Engine, got.Opts)
+	}
+	type legacy struct {
+		Version int
+		K       int
+		Bounds  geo.Rect
+		Users   []userRec
+	}
+	old := legacy{Version: Version, K: k, Bounds: bounds, Users: make([]userRec, st.DB.Len())}
+	for i := range old.Users {
+		old.Users[i] = userRec{ID: st.DB.At(i).UserID, Loc: st.DB.At(i).Loc, Cloak: st.Policy.CloakAt(i)}
+	}
+	buf.Reset()
+	if err := write(&buf, old); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = Load(&buf); err != nil {
+		t.Fatalf("legacy body: %v", err)
+	}
+	if got.Engine != "" || got.Opts != nil || got.DB.Len() != st.DB.Len() {
+		t.Fatalf("legacy body: engine %q, options %v, %d users", got.Engine, got.Opts, got.DB.Len())
 	}
 }

@@ -32,7 +32,7 @@ func FuzzLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Save(&buf, 3, bounds, pol); err != nil {
+	if err := Save(&buf, &State{K: 3, Bounds: bounds, Policy: pol}); err != nil {
 		f.Fatal(err)
 	}
 	good := buf.Bytes()

@@ -10,8 +10,8 @@
 // The layer exists so that the paper's central comparison (Section VI:
 // Bulk_dp's policy-aware optimum vs. the k-inside family) is a loop over
 // registry names instead of a hand-wired call per algorithm, and so that
-// the HTTP server, the cluster coordinator, the in-process parallel
-// deployment, and the benchmark harness are all engine-agnostic.
+// the HTTP server, the in-process parallel deployment, and the benchmark
+// harness are all engine-agnostic.
 //
 // Engine names are stable identifiers (see docs/ENGINES.md for the
 // taxonomy): bulkdp-binary, bulkdp-quad, bulkdp-naive, adaptive, multik,
@@ -83,7 +83,7 @@ func (p Params) Opt(name, def string) string {
 // Engine computes a cloaking policy for one location snapshot. An engine
 // must be deterministic in (db, bounds, p): the paper's attacker model
 // assumes the policy is a function of the snapshot alone ("the design is
-// not secret"), and the caching and cluster layers rely on it.
+// not secret"), and the caching layer relies on it.
 type Engine interface {
 	// Name returns the engine's stable registry name.
 	Name() string

@@ -35,7 +35,7 @@ func (hw *Writer) Append(k int, bounds geo.Rect, policy *lbs.Assignment) error {
 	// Each epoch is a length-prefixed checkpoint blob; reusing the
 	// checkpoint format buys the integrity check and safety revalidation.
 	var blob bytes.Buffer
-	if err := checkpoint.Save(&blob, k, bounds, policy); err != nil {
+	if err := checkpoint.Save(&blob, &checkpoint.State{K: k, Bounds: bounds, Policy: policy}); err != nil {
 		return fmt.Errorf("history: %w", err)
 	}
 	var hdr [8]byte

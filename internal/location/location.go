@@ -33,8 +33,11 @@ type Record struct {
 // snapshots that share every unchanged record page — and the user index —
 // with their parent, so deriving the next published snapshot from a small
 // move batch costs O(moves), not O(|D|). Both forms serve reads
-// identically; in-place mutation of a paged snapshot transparently
-// flattens it first (see ensureMutable).
+// identically. In-place mutation of a paged snapshot flattens it first
+// (see ensureMutable), so writing a child never changes its parent. A
+// flat snapshot is written in place, and its children's pages alias its
+// records: no caller writes a flat parent while one of its children is
+// read.
 type DB struct {
 	records []Record       // flat storage; nil iff paged
 	pages   [][]Record     // copy-on-write storage; nil iff flat
@@ -307,8 +310,11 @@ func (db *DB) Clone() *DB {
 // (record index -> new location) without copying the database: the derived
 // snapshot shares every untouched record page and the user index with db,
 // copying only the pages a move lands on, so it costs O(moves) instead of
-// the O(|D|) of Clone. Both snapshots remain fully usable; a later
-// in-place mutation of either transparently un-shares the touched state.
+// the O(|D|) of Clone. Both snapshots remain fully usable. A later
+// in-place write to the derived snapshot, or to a paged db, un-shares
+// first; a write to a flat db does not, and shows through the derived
+// snapshot's pages, so no caller writes a flat db while a snapshot
+// derived from it is read.
 //
 // The version advances by len(moves) — the same count of bumps MoveAt
 // would have produced — so a chain of CloneWithMoves snapshots tracks the

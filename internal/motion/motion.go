@@ -284,11 +284,14 @@ type Snapshot struct {
 	// Policy is the cloak assignment, bound to an immutable clone of the
 	// location DB as it stood when the producing batch finished applying.
 	Policy *lbs.Assignment
-	// K and Bounds echo the pipeline configuration so a snapshot is a
-	// self-contained persistence record: a Checkpoint callback can save
-	// it without reaching back into the pipeline (or any lock).
+	// K, Bounds, Engine and Opts echo the pipeline configuration so a
+	// snapshot is a self-contained persistence record: a Checkpoint
+	// callback can save it without reaching back into the pipeline (or
+	// any lock).
 	K      int
 	Bounds geo.Rect
+	Engine string
+	Opts   map[string]string
 	// Epoch counts published snapshots, starting at 1 for the initial one.
 	Epoch int64
 	// Strategy records how this snapshot was produced: "initial",
@@ -495,6 +498,8 @@ func (p *Pipeline) initialSnapshot(policy *lbs.Assignment) (*Snapshot, error) {
 		Policy:        pub,
 		K:             p.cfg.K,
 		Bounds:        p.m.bounds,
+		Engine:        p.cfg.Engine,
+		Opts:          p.cfg.Opts,
 		Epoch:         1,
 		Strategy:      "initial",
 		Rows:          pub.Len(),
@@ -813,6 +818,8 @@ func (p *Pipeline) applyBatch(base context.Context, batch []queued, wait time.Du
 		Policy:        res.Policy,
 		K:             p.cfg.K,
 		Bounds:        p.m.bounds,
+		Engine:        p.cfg.Engine,
+		Opts:          p.cfg.Opts,
 		Epoch:         prev.Epoch + 1,
 		Strategy:      string(res.strategy),
 		Moves:         len(coalesced),

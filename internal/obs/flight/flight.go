@@ -298,7 +298,7 @@ func (r *Recorder) Stats() Stats {
 
 // tidPrefix distinguishes processes, like audit's ridPrefix: each
 // process draws a random prefix at start so concurrently minted trace
-// IDs cannot collide across a cluster.
+// IDs cannot collide across servers.
 var tidPrefix = func() string {
 	var b [4]byte
 	if _, err := rand.Read(b[:]); err != nil {

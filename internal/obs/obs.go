@@ -6,7 +6,7 @@
 // The stable span taxonomy (see docs/OBSERVABILITY.md) names the phases of
 // the paper's Algorithm 1 / Section V pipeline — tree.build,
 // bulkdp.build ⊃ bulkdp.combine, bulkdp.extract, bulkdp.update,
-// parallel.worker, cluster.shard, csp.serve — so that traces stay
+// parallel.worker, csp.serve — so that traces stay
 // comparable across benchmark runs and PRs.
 //
 // Tracing is opt-in per call tree: a Tracer is installed with WithTracer
@@ -184,9 +184,9 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 // StartLane is Start on a fresh display lane: the span (and its children)
 // render on their own timeline row in the Chrome trace instead of
 // stacking under the parent's row. Use it for spans that run concurrently
-// with their siblings — per-jurisdiction workers, per-shard RPCs — so
-// overlapping work stays readable; the parent/child relation is preserved
-// in the span records either way.
+// with their siblings — per-jurisdiction workers — so overlapping work
+// stays readable; the parent/child relation is preserved in the span
+// records either way.
 func StartLane(ctx context.Context, name string) (context.Context, *Span) {
 	parent, ok := ctx.Value(ctxKey{}).(*Span)
 	if !ok || parent.tracer == nil {

@@ -1,16 +1,24 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
+	"policyanon/internal/attacker"
+	"policyanon/internal/checkpoint"
 	"policyanon/internal/engine"
 	"policyanon/internal/geo"
 	"policyanon/internal/location"
+	"policyanon/internal/motion"
 	_ "policyanon/internal/parallel" // register the "parallel" engine
+	"policyanon/internal/workload"
 )
 
 func TestEnginesEndpoint(t *testing.T) {
@@ -134,5 +142,89 @@ func TestMovesUnderNonIncrementalEngine(t *testing.T) {
 	cloak := body["cloak"].(map[string]any)
 	if cloak["maxX"].(float64) < 60 || cloak["maxY"].(float64) < 60 {
 		t.Fatalf("cloak %v does not mask the moved location (60,60)", cloak)
+	}
+}
+
+// TestCheckpointKeepsEngine pins what a checkpoint records of the
+// installed engine. A policy-aware k-anonymous policy round-trips with
+// its engine and options, so the restored server, its motion pipeline
+// and its next /v1/moves run the engine the snapshot was installed with.
+// Any other policy (the k-inside baselines) is refused with ErrUnsafe and
+// nothing is written: Load would refuse the file on the next start.
+func TestCheckpointKeepsEngine(t *testing.T) {
+	const users, k = 600, 10
+	src := sampleUsers(t, workload.Generate(workload.Config{Intersections: users}, 42), users, 42)
+	body := canonicalBody(src, k, workload.DefaultMapSide)
+	restore := func(t *testing.T, ck *bytes.Buffer, name string, opts map[string]string) {
+		t.Helper()
+		srv := New()
+		srv.EnableMotion(motion.Config{MaxMoveMeters: -1})
+		if err := srv.RestoreFrom(ck); err != nil {
+			t.Fatalf("%s: restore: %v", name, err)
+		}
+		t.Cleanup(func() { srv.DrainMotion(context.Background()) })
+		cfg := srv.MotionPipeline().Config()
+		if srv.snapEngine != name || srv.stats.Engine != name || cfg.Engine != name {
+			t.Errorf("%s: restored as %q (stats %q, motion %q)", name, srv.snapEngine, srv.stats.Engine, cfg.Engine)
+		}
+		if !maps.Equal(srv.snapOpts, opts) || !maps.Equal(cfg.Opts, opts) {
+			t.Errorf("%s: restored options %v (motion %v), want %v", name, srv.snapOpts, cfg.Opts, opts)
+		}
+	}
+	var kept, refused []string
+	for _, name := range engine.Names() {
+		srv := New()
+		if w := postSnapshotQuery(srv.Handler(), "?engine="+name, body); w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, w.Code, w.Body.String())
+		}
+		var ck bytes.Buffer
+		err := srv.CheckpointTo(&ck)
+		if !attacker.IsKAnonymous(srv.policy, k, attacker.PolicyAware) {
+			if !errors.Is(err, checkpoint.ErrUnsafe) || ck.Len() != 0 {
+				t.Errorf("%s: checkpoint of a policy that is not policy-aware k-anonymous: err %v, %d bytes written", name, err, ck.Len())
+			}
+			refused = append(refused, name)
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: checkpoint: %v", name, err)
+		}
+		restore(t, &ck, name, nil)
+		kept = append(kept, name)
+	}
+	for _, name := range []string{"hilbert", "bulkdp-quad", engine.DefaultName} {
+		if !slices.Contains(kept, name) {
+			t.Errorf("%s did not round-trip (kept %v)", name, kept)
+		}
+	}
+	for _, name := range []string{"casper", "pub", "mbc"} {
+		if !slices.Contains(refused, name) {
+			t.Errorf("%s was not refused (refused %v)", name, refused)
+		}
+	}
+
+	// Options round-trip too; a file that names no engine (one written
+	// before engines were recorded) restores the default, and one naming
+	// an engine this binary does not register is refused.
+	srv := New()
+	withOpts := bytes.Replace(body, []byte(`{"k":`), []byte(`{"opts":{"workers":"2"},"k":`), 1)
+	if w := postSnapshotQuery(srv.Handler(), "?engine=bulkdp-binary", withOpts); w.Code != http.StatusOK {
+		t.Fatalf("install with options: status %d: %s", w.Code, w.Body.String())
+	}
+	var ck bytes.Buffer
+	if err := srv.CheckpointTo(&ck); err != nil {
+		t.Fatal(err)
+	}
+	restore(t, &ck, "bulkdp-binary", map[string]string{"workers": "2"})
+	for _, c := range []struct{ engine, want string }{{"", engine.DefaultName}, {"no-such", ""}} {
+		ck.Reset()
+		if err := checkpoint.Save(&ck, &checkpoint.State{K: k, Bounds: srv.bounds, Policy: srv.policy, Engine: c.engine}); err != nil {
+			t.Fatal(err)
+		}
+		if c.want != "" {
+			restore(t, &ck, c.want, nil)
+		} else if err := New().RestoreFrom(&ck); err == nil {
+			t.Errorf("restored a checkpoint of unregistered engine %q", c.engine)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package server exposes the anonymizing CSP as a JSON-over-HTTP service,
-// the deployable component behind cmd/anonserver. One server instance
-// plays the role of a single anonymization server of Section V; a fleet of
-// them, one per jurisdiction, forms the parallel deployment.
+// the deployable component behind cmd/anonserver. One server process
+// serves one copy of the Section V decomposition; the parallel engine
+// runs its jurisdictions in-process (internal/parallel).
 //
 // Endpoints:
 //
@@ -34,8 +34,6 @@
 //	                           410 when its batch aged out of retention)
 //	GET  /v1/motion            streaming-ingest pipeline statistics
 //	                           ({"enabled": false} when motion is off)
-//	GET  /v1/checkpoint        stream the current state as a checkpoint
-//	POST /v1/restore           install a previously saved checkpoint
 //	GET  /v1/stats             snapshot, policy, cache and coalescing
 //	                           statistics
 //	GET  /v1/metrics           metrics registry (JSON; ?format=prometheus
@@ -55,10 +53,9 @@
 //
 // Every request is tagged with a request ID (the incoming X-Request-ID
 // header, or a freshly minted one), echoed in the response X-Request-ID
-// header, carried down the context, stamped on audit breach log lines and
-// trace spans, and forwarded by the cluster coordinator to its shard
-// RPCs — one ID correlates a request across log, trace, and metric on
-// every server that touched it.
+// header, carried down the context, and stamped on audit breach log lines
+// and trace spans — one ID correlates a request across log, trace, and
+// metric.
 //
 // The serving routes (/v1/request and /v1/request/batch) additionally
 // run an always-on tracing layer: each request opens an obs.Capture with
@@ -73,7 +70,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -308,8 +304,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/snapshot", s.handleSnapshot)
 	mux.HandleFunc("POST /v1/moves", s.handleMoves)
 	mux.HandleFunc("POST /v1/pois", s.handlePOIs)
-	mux.HandleFunc("GET /v1/checkpoint", s.handleCheckpointSave)
-	mux.HandleFunc("POST /v1/restore", s.handleCheckpointRestore)
 	mux.HandleFunc("GET /v1/cloak", s.handleCloak)
 	mux.HandleFunc("POST /v1/request", s.handleRequest)
 	mux.HandleFunc("POST /v1/request/batch", s.handleRequestBatch)
@@ -322,8 +316,8 @@ func (s *Server) Handler() http.Handler {
 
 // handleHealthz answers readiness by default — 503 until the first
 // snapshot is installed — and pure liveness with ?probe=live (always
-// 200). Load balancers and the cluster coordinator use the liveness form
-// to tell a crashed worker from one merely awaiting its shard.
+// 200). Load balancers use the liveness form to tell a crashed server
+// from one merely awaiting its snapshot.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("probe") == "live" {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -1033,25 +1027,33 @@ func (s *Server) handleRequestBatch(w http.ResponseWriter, r *http.Request) {
 	writeBatchOK(w, batchRID, items)
 }
 
-// CheckpointTo streams the current state as a checkpoint; it fails when
-// no snapshot is installed.
+// CheckpointTo streams the current state as a checkpoint, recording the
+// installed engine and its options; it fails when no snapshot is
+// installed or the policy is not policy-aware k-anonymous.
 func (s *Server) CheckpointTo(w io.Writer) error {
 	s.refreshMotion()
 	s.mu.RLock()
-	policy, k, bounds := s.policy, s.k, s.bounds
+	st := checkpoint.State{K: s.k, Bounds: s.bounds, Policy: s.policy, Engine: s.snapEngine, Opts: s.snapOpts}
 	s.mu.RUnlock()
-	if policy == nil {
+	if st.Policy == nil {
 		return fmt.Errorf("server: no snapshot installed")
 	}
-	return checkpoint.Save(w, k, bounds, policy)
+	return checkpoint.Save(w, &st)
 }
 
-// RestoreFrom installs a previously saved checkpoint. The configuration
-// matrix is rebuilt lazily on the first movement update.
+// RestoreFrom installs a previously saved checkpoint under the engine and
+// options it records. The configuration matrix is rebuilt lazily on the
+// first movement update.
 func (s *Server) RestoreFrom(r io.Reader) error {
 	st, err := checkpoint.Load(r)
 	if err != nil {
 		return err
+	}
+	if st.Engine == "" {
+		st.Engine = engine.DefaultName
+	}
+	if _, err := engine.Get(st.Engine); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
 	}
 	s.mu.Lock()
 	s.k = st.K
@@ -1060,10 +1062,8 @@ func (s *Server) RestoreFrom(r io.Reader) error {
 	s.anon = nil // lazily rebuilt by the next /v1/moves
 	s.pub = nil
 	s.policy = st.Policy
-	// Checkpoints predate engine selection and always carry the default
-	// engine's policy, with default options.
-	s.snapEngine = engine.DefaultName
-	s.snapOpts = nil
+	s.snapEngine = st.Engine
+	s.snapOpts = st.Opts
 	if s.provider != nil {
 		if s.csp == nil {
 			s.csp = lbs.NewCSP(st.Policy, s.provider)
@@ -1073,45 +1073,12 @@ func (s *Server) RestoreFrom(r io.Reader) error {
 	}
 	s.stats.Users = st.DB.Len()
 	s.stats.K = st.K
+	s.stats.Engine = st.Engine
 	s.stats.PolicyCost = st.Policy.Cost()
 	s.stats.AvgCloakArea = st.Policy.AvgArea()
 	err = s.startMotionLocked()
 	s.mu.Unlock()
 	return err
-}
-
-func (s *Server) handleCheckpointSave(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	installed := s.policy != nil
-	s.mu.RUnlock()
-	if !installed {
-		httpError(w, http.StatusConflict, fmt.Errorf("no snapshot installed"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := s.CheckpointTo(w); err != nil {
-		// Headers are already out; log-style best effort.
-		fmt.Fprintf(w, "\ncheckpoint error: %v", err)
-	}
-}
-
-func (s *Server) handleCheckpointRestore(w http.ResponseWriter, r *http.Request) {
-	body, ok := bodyOrError(w, r, maxSnapshotBody)
-	if !ok {
-		return
-	}
-	if err := s.RestoreFrom(bytes.NewReader(body)); err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, checkpoint.ErrUnsafe) {
-			status = http.StatusUnprocessableEntity
-		}
-		httpError(w, status, err)
-		return
-	}
-	s.mu.RLock()
-	users, k := s.stats.Users, s.stats.K
-	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]any{"users": users, "k": k})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -266,28 +266,21 @@ func TestMovesEndpoint(t *testing.T) {
 }
 
 func TestCheckpointSaveRestore(t *testing.T) {
-	ts := newTestServer(t)
+	srv := New()
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
 	installSnapshot(t, ts.URL, 5)
-	// Download the checkpoint.
-	resp, err := http.Get(ts.URL + "/v1/checkpoint")
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("checkpoint download: %d %v", resp.StatusCode, err)
+	var blob bytes.Buffer
+	if err := srv.CheckpointTo(&blob); err != nil {
+		t.Fatalf("checkpoint: %v", err)
 	}
 	// Restore into a fresh server.
-	fresh := newTestServer(t)
-	resp2, err := http.Post(fresh.URL+"/v1/restore", "application/octet-stream", bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
+	restored := New()
+	if err := restored.RestoreFrom(bytes.NewReader(blob.Bytes())); err != nil {
+		t.Fatalf("restore: %v", err)
 	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("restore: %d", resp2.StatusCode)
-	}
+	fresh := httptest.NewServer(restored.Handler())
+	t.Cleanup(fresh.Close)
 	// The restored server answers cloak lookups identically.
 	_, a := get(t, ts.URL+"/v1/cloak?user=u07")
 	_, b := get(t, fresh.URL+"/v1/cloak?user=u07")
@@ -298,29 +291,44 @@ func TestCheckpointSaveRestore(t *testing.T) {
 		}
 	}
 	// Moves work after restore (matrix rebuilt lazily).
-	resp3, body := post(t, fresh.URL+"/v1/moves", MovesRequest{Moves: []UserJSON{{ID: "u01", X: 5, Y: 5}}})
-	if resp3.StatusCode != http.StatusOK {
-		t.Fatalf("moves after restore: %d %v", resp3.StatusCode, body)
+	resp, body := post(t, fresh.URL+"/v1/moves", MovesRequest{Moves: []UserJSON{{ID: "u01", X: 5, Y: 5}}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("moves after restore: %d %v", resp.StatusCode, body)
 	}
 	// Corrupt restore rejected.
-	blob[len(blob)/2] ^= 0xFF
-	resp4, err := http.Post(fresh.URL+"/v1/restore", "application/octet-stream", bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp4.Body.Close()
-	if resp4.StatusCode == http.StatusOK {
+	corrupt := bytes.Clone(blob.Bytes())
+	corrupt[len(corrupt)/2] ^= 0xFF
+	if err := New().RestoreFrom(bytes.NewReader(corrupt)); err == nil {
 		t.Fatal("corrupt checkpoint accepted")
 	}
-	// Checkpoint of an empty server is a 409.
-	empty := newTestServer(t)
-	resp5, err := http.Get(empty.URL + "/v1/checkpoint")
+	// An empty server has nothing to checkpoint.
+	var empty bytes.Buffer
+	if err := New().CheckpointTo(&empty); err == nil || empty.Len() != 0 {
+		t.Fatalf("empty checkpoint: err %v, %d bytes written", err, empty.Len())
+	}
+}
+
+// TestCheckpointRoutesRemoved pins that no HTTP route hands out or takes
+// in a checkpoint: one would return every user's exact location to any
+// client of the serving listener.
+func TestCheckpointRoutesRemoved(t *testing.T) {
+	ts := newTestServer(t)
+	installSnapshot(t, ts.URL, 5)
+	resp, err := http.Get(ts.URL + "/v1/checkpoint")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp5.Body.Close()
-	if resp5.StatusCode != http.StatusConflict {
-		t.Fatalf("empty checkpoint: %d", resp5.StatusCode)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/checkpoint: %d, want 404", resp.StatusCode)
+	}
+	resp, err = http.Post(ts.URL+"/v1/restore", "application/octet-stream", strings.NewReader("PANONCK1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/restore: %d, want 404", resp.StatusCode)
 	}
 }
 

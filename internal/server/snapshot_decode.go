@@ -13,7 +13,7 @@ import (
 
 // maxSnapshotBody caps a /v1/snapshot body at 4× the paper's 1.75M-user
 // Master set (Section VI) at the ~38 bytes a user takes on the wire. The
-// other install routes, /v1/pois and /v1/restore, take the same cap.
+// other install route, /v1/pois, takes the same cap.
 const maxSnapshotBody = 256 << 20
 
 // readBody reads a request body of at most limit bytes into one buffer,

@@ -15,8 +15,8 @@
 //
 // The anonymization pipeline already guarantees these properties by
 // construction; this package exists so that operational surfaces
-// (cluster assembly, simulation, the rolling publisher, every motion
-// publish) can verify rather than trust.
+// (simulation, the rolling publisher, every motion publish) can verify
+// rather than trust.
 package verify
 
 import (

@@ -43,7 +43,6 @@ import (
 	"policyanon/internal/attacker"
 	"policyanon/internal/baseline"
 	"policyanon/internal/checkpoint"
-	"policyanon/internal/cluster"
 	"policyanon/internal/core"
 	"policyanon/internal/engine"
 	"policyanon/internal/geo"
@@ -380,8 +379,6 @@ type (
 	SimConfig = sim.Config
 	// SimReport is a simulation outcome.
 	SimReport = sim.Report
-	// ClusterCoordinator drives a pool of HTTP anonymization servers.
-	ClusterCoordinator = cluster.Coordinator
 	// CheckpointState is a restored (snapshot, policy) pair.
 	CheckpointState = checkpoint.State
 	// RoadNetwork is a Brinkhoff-style road graph for network movement.
@@ -399,15 +396,10 @@ func NewRollingAnonymizer(db *LocationDB, bounds Rect, k int) (*RollingAnonymize
 // RunSimulation executes the discrete-event LBS ecosystem simulation.
 func RunSimulation(cfg SimConfig) (*SimReport, error) { return sim.Run(cfg) }
 
-// NewCluster returns a coordinator over anonymization-server base URLs.
-func NewCluster(workers []string) (*ClusterCoordinator, error) {
-	return cluster.New(workers, nil)
-}
-
 // SaveCheckpoint serializes a (k, bounds, policy) state with integrity
-// protection.
+// protection; it refuses a policy that is not policy-aware k-anonymous.
 func SaveCheckpoint(w io.Writer, k int, bounds Rect, policy *Assignment) error {
-	return checkpoint.Save(w, k, bounds, policy)
+	return checkpoint.Save(w, &checkpoint.State{K: k, Bounds: bounds, Policy: policy})
 }
 
 // LoadCheckpoint restores and safety-revalidates a checkpoint.
@@ -456,9 +448,9 @@ func ReplayTrajectory(states []*CheckpointState, userID string) ([]string, error
 
 // Observability layer: hierarchical phase tracing and metrics. A Tracer
 // rides in a context (WithTracer) and every traced operation — bulk
-// anonymization, incremental maintenance, parallel workers, cluster shard
-// RPCs, the CSP serve path — records spans into it; export them as a
-// Chrome trace_event file (Tracer.WriteChromeTrace), an aggregated phase
+// anonymization, incremental maintenance, parallel workers, the CSP
+// serve path — records spans into it; export them as a Chrome
+// trace_event file (Tracer.WriteChromeTrace), an aggregated phase
 // table (Tracer.WritePhaseTable), or Prometheus text exposition via a
 // MetricsRegistry (Tracer.SetRegistry + Registry.WritePrometheus). A
 // context without a tracer costs nothing. See docs/OBSERVABILITY.md.
@@ -480,7 +472,7 @@ func NewTracer() *Tracer { return obs.NewTracer() }
 
 // WithTracer returns a context whose traced operations record spans into
 // tr. Library calls that take a context (NewAnonymizerContext,
-// NewEngineContext, cluster and CSP paths) pick it up automatically.
+// NewEngineContext and the CSP path) pick it up automatically.
 func WithTracer(ctx context.Context, tr *Tracer) context.Context {
 	return obs.WithTracer(ctx, tr)
 }
