@@ -11,13 +11,19 @@ import (
 )
 
 // Survey is everything both attacker classes can count about one policy,
-// taken in a single O(|D|) pass over the assignment: the cloaking groups
-// (the policy-aware candidate sets themselves), a spatial grid of the
-// snapshot and, counted on first use, the policy-unaware candidate count
-// of every issued cloak. It is the one source of candidate counts for
-// Audit, GroupSizes, verify.Policy, verify.Delta and the audit package;
+// taken in O(|D|) over the assignment: the cloaking groups (the
+// policy-aware candidate sets themselves), a spatial grid of the snapshot
+// and, counted on first use, the policy-unaware candidate count of every
+// issued cloak. It is the one source of candidate counts for Audit,
+// GroupSizes, verify.Policy, verify.Delta and the audit package;
 // Candidates stays the literal Definition 5 scan the tests hold it
 // against.
+//
+// The groups come from lbs.Assignment.GroupsOn: the cloak table sorted by
+// rectangle, which canonicalises it (two ids holding one rectangle get one
+// canonical id), then a counting sort of the records by canonical id. So
+// grouping by id is grouping by rectangle whatever the table holds, and no
+// record's rectangle is hashed.
 //
 // A Survey is derived from nothing but its own assignment and is
 // memoized on it (SurveyOf), so the publish gate, the swap-time audit and

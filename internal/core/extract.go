@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"policyanon/internal/geo"
 	"policyanon/internal/lbs"
@@ -27,15 +28,45 @@ var ErrNoDeltaBaseline = errors.New("core: no delta baseline (run Extract first)
 // target chosen and the points passed up per node — as the baseline
 // ExtractDelta diffs against.
 func (m *Matrix) Extract() ([]geo.Rect, error) {
+	table, ids, err := m.extractIDs()
+	if err != nil {
+		return nil, err
+	}
+	cloaks := make([]geo.Rect, len(ids))
+	for p, id := range ids {
+		cloaks[p] = table[id]
+	}
+	return cloaks, nil
+}
+
+// Policy is Extract delivered as the interned policy over db, the snapshot
+// whose points the tree indexes: every node that cloaks a point becomes
+// one table entry and each point gets that entry's id, so the exhibition
+// hands over 4 B per point, not a 16 B rectangle to copy and hash.
+func (m *Matrix) Policy(db *location.DB) (*lbs.Assignment, error) {
+	table, ids, err := m.extractIDs()
+	if err != nil {
+		return nil, err
+	}
+	return lbs.NewTableAssignment(db, table, ids)
+}
+
+// extractIDs runs a full exhibition pass in a "bulkdp.extract" span: each
+// node that cloaks a point gets one table entry, each point its entry's
+// id. The pair is also the new delta baseline, which reads it only.
+func (m *Matrix) extractIDs() (table []geo.Rect, ids []int32, err error) {
 	_, sp := obs.Start(m.octx(), "bulkdp.extract")
 	if sp != nil {
 		sp.SetInt("users", int64(m.t.Len()))
 		defer sp.End()
 	}
-	if err := m.extract(&assignPass{}); err != nil {
-		return nil, err
+	st := assignPass{ids: make([]int32, m.t.Len())}
+	if err := m.extract(&st); err != nil {
+		return nil, nil, err
 	}
-	return append([]geo.Rect(nil), m.cloaks...), nil
+	// A policy built on the table owns its spare capacity.
+	m.baseTable, m.baseIDs = slices.Clip(st.table), st.ids
+	return st.table, st.ids, nil
 }
 
 // ExtractDelta re-runs the policy exhibition only over subtrees that can
@@ -49,7 +80,21 @@ func (m *Matrix) Extract() ([]geo.Rect, error) {
 // oracle) — plus the number of nodes re-assigned. The work is
 // O(re-assigned subtrees), not O(|D|).
 func (m *Matrix) ExtractDelta() (changes []lbs.CloakChange, visited int, err error) {
-	if !m.haveBase || len(m.cloaks) != m.t.Len() {
+	if !m.haveBase {
+		return nil, 0, ErrNoDeltaBaseline
+	}
+	if m.baseIDs != nil {
+		if n := len(m.baseIDs); cap(m.cloaks) < n {
+			m.cloaks = make([]geo.Rect, n)
+		} else {
+			m.cloaks = m.cloaks[:n]
+		}
+		for p, id := range m.baseIDs {
+			m.cloaks[p] = m.baseTable[id]
+		}
+		m.baseTable, m.baseIDs = nil, nil
+	}
+	if len(m.cloaks) != m.t.Len() {
 		return nil, 0, ErrNoDeltaBaseline
 	}
 	_, sp := obs.Start(m.octx(), "bulkdp.extract_delta")
@@ -75,6 +120,9 @@ func (m *Matrix) extract(st *assignPass) error {
 		return err
 	}
 	m.ensureAssignState()
+	if !st.delta {
+		m.baseTable, m.baseIDs = nil, nil
+	}
 	m.cs.pass = m.cs.pass[:0]
 	// A failed pass leaves the baseline partially overwritten; drop it
 	// until a pass completes.
@@ -100,6 +148,10 @@ type assignPass struct {
 	delta   bool
 	changes []lbs.CloakChange
 	visited int
+	// ids receives, on a full pass, each point's cloak as an id into
+	// table, which gains one entry per node that cloaks a point.
+	ids   []int32
+	table []geo.Rect
 }
 
 // assign recursively realizes the configuration chosen by the matrix for
@@ -123,9 +175,7 @@ func (m *Matrix) assign(id tree.NodeID, u int32, st *assignPass) ([]int32, error
 	if m.t.IsLeaf(id) {
 		pts := m.t.LeafPoints(id)
 		cloakN := int(r.d - u)
-		for _, p := range pts[:cloakN] {
-			m.setCloak(p, rect, st)
-		}
+		m.cloak(pts[:cloakN], rect, st)
 		m.chosen[id] = u
 		m.passUp[id] = append(m.passUp[id][:0], pts[cloakN:]...)
 		return m.passUp[id], nil
@@ -152,26 +202,33 @@ func (m *Matrix) assign(id tree.NodeID, u int32, st *assignPass) ([]int32, error
 		return nil, fmt.Errorf("core: node %d received %d points, expected j=%d (internal error)", id, len(passed), j)
 	}
 	cloakN := int(j - u)
-	for _, p := range passed[:cloakN] {
-		m.setCloak(p, rect, st)
-	}
+	m.cloak(passed[:cloakN], rect, st)
 	m.chosen[id] = u
 	m.passUp[id] = append(m.passUp[id][:0], passed[cloakN:]...)
 	m.cs.pass = m.cs.pass[:mark]
 	return m.passUp[id], nil
 }
 
-// setCloak writes one baseline cloak, recording the rewrite when a delta
-// pass actually changes it.
-func (m *Matrix) setCloak(p int32, rect geo.Rect, st *assignPass) {
-	if st.delta {
+// cloak issues rect to the points ps: a full pass as one new table entry
+// whose id it writes per point, a delta pass into the baseline, recording
+// each rewrite that actually changes a point's cloak.
+func (m *Matrix) cloak(ps []int32, rect geo.Rect, st *assignPass) {
+	if !st.delta {
+		if len(ps) > 0 {
+			id := int32(len(st.table))
+			st.table = append(st.table, rect)
+			for _, p := range ps {
+				st.ids[p] = id
+			}
+		}
+		return
+	}
+	for _, p := range ps {
 		if old := m.cloaks[p]; old != rect {
 			st.changes = append(st.changes, lbs.CloakChange{Index: int(p), Old: old, New: rect})
 			m.cloaks[p] = rect
 		}
-		return
 	}
-	m.cloaks[p] = rect
 }
 
 // chooseCombine derives, for internal node id and target pass-up u, a
@@ -314,11 +371,7 @@ func (a *Anonymizer) OptimalCost() (int64, error) { return a.matrix.OptimalCost(
 // Policy extracts an optimal policy-aware sender k-anonymous cloak
 // assignment for the current snapshot.
 func (a *Anonymizer) Policy() (*lbs.Assignment, error) {
-	cloaks, err := a.matrix.Extract()
-	if err != nil {
-		return nil, err
-	}
-	return lbs.NewAssignment(a.db, cloaks)
+	return a.matrix.Policy(a.db)
 }
 
 // Move relocates one user (by record index) and incrementally maintains

@@ -162,7 +162,13 @@ type Matrix struct {
 	// (Update keeps the set ancestor-closed by construction: it recomputes
 	// every ancestor of a dirty node); haveBase gates the whole mechanism
 	// and is dropped by Recompute, which rewrites rows without marking.
+	// A full pass leaves the per-point baseline interned, as it extracted
+	// it (baseTable[baseIDs[p]], shared read-only with the policy built on
+	// it); ExtractDelta reads it into cloaks before its first pass, so an
+	// install that never moves writes no rectangle per point.
 	cloaks    []geo.Rect
+	baseTable []geo.Rect
+	baseIDs   []int32
 	chosen    []int32
 	passUp    [][]int32
 	stale     []bool
@@ -945,12 +951,6 @@ func (m *Matrix) clearStale() {
 
 // ensureAssignState sizes the delta-extraction memo for the current tree.
 func (m *Matrix) ensureAssignState() {
-	n := m.t.Len()
-	if cap(m.cloaks) < n {
-		m.cloaks = make([]geo.Rect, n)
-	} else {
-		m.cloaks = m.cloaks[:n]
-	}
 	nc := m.t.NodeCap()
 	for len(m.chosen) < nc {
 		m.chosen = append(m.chosen, -1)

@@ -95,11 +95,7 @@ func (p *Publisher) Publish(gate func(*lbs.Assignment) error) (Publication, erro
 		}
 	}
 	if pub.Policy == nil {
-		cloaks, err := p.anon.matrix.Extract()
-		if err != nil {
-			return Publication{}, err
-		}
-		full, err := lbs.NewAssignment(p.anon.db.Clone(), cloaks)
+		full, err := p.anon.matrix.Policy(p.anon.db.Clone())
 		if err != nil {
 			return Publication{}, err
 		}

@@ -205,3 +205,34 @@ func TestPublisherGateRefusalUnanchors(t *testing.T) {
 		t.Fatalf("publish after refusal: delta %v, %d cloaks changed", next.Delta, next.CloaksChanged)
 	}
 }
+
+// TestPublisherTableStaysBounded drives 1 200 delta publishes over one
+// population. The chain appends to its cloak table every cloak the table
+// does not hold, and entries no record holds any more stay until a
+// compaction: the table must never exceed twice the distinct cloaks its
+// records hold plus one batch's changes, however long the chain runs.
+func TestPublisherTableStaysBounded(t *testing.T) {
+	const n, k, publishes = 300, 4, 1200
+	rng := rand.New(rand.NewSource(4700))
+	p, first := newTestPublisher(t, rng, n, k, tree.Binary)
+	appended, largest := 0, first.Policy.TableLen()
+	for round := range publishes {
+		moveRandom(t, p, rng, n, 1+rng.Intn(6))
+		prev := p.Anchored().TableLen()
+		pub := publish(t, p)
+		if !pub.Delta {
+			t.Fatalf("round %d: publish left the delta path", round)
+		}
+		got, live := pub.Policy.TableLen(), len(pub.Policy.Groups())
+		if limit := 2*live + pub.CloaksChanged; got > limit {
+			t.Fatalf("round %d: table of %d entries for %d cloaks and %d changes, bound %d",
+				round, got, live, pub.CloaksChanged, limit)
+		}
+		appended += max(0, got-prev)
+		largest = max(largest, got)
+	}
+	if appended <= 2*largest {
+		t.Fatalf("the chain appended only %d entries (largest table %d): no compaction was needed", appended, largest)
+	}
+	t.Logf("%d publishes: %d entries appended, largest table %d", publishes, appended, largest)
+}

@@ -82,8 +82,9 @@ func WithMetrics(reg *metrics.Registry) Middleware {
 // observatory: ~rate of the calls (deterministic 1-in-N, first call
 // always sampled) are audited in full via audit.Auditor.ObservePolicy —
 // achieved anonymity under both attacker classes, breach counters, and
-// utility measures, recorded as an "engine.audit" span with breach
-// attributes attached to the enclosing "engine.<name>" span.
+// utility measures, recorded as an "engine.audit" span (attribute
+// cloak_table: the policy's cloak-table entries) with breach attributes
+// attached to the enclosing "engine.<name>" span.
 //
 // It never withholds a policy: breaches are observed, counted, and
 // logged, not enforced. Enforcement belongs to the publish paths, which
@@ -102,6 +103,7 @@ func WithAudit(aud *audit.Auditor, rate float64) Middleware {
 			// attributes land on the enclosing engine span, not on the
 			// audit timing span.
 			aud.ObservePolicy(ctx, name, a, p.EffectiveK())
+			sp.SetInt("cloak_table", int64(a.TableLen()))
 			sp.End()
 			return a, nil
 		})

@@ -75,8 +75,13 @@ func (hr *Reader) Next() (*checkpoint.State, error) {
 	if size > maxEpoch {
 		return nil, fmt.Errorf("history: implausible epoch size %d", size)
 	}
-	blob := make([]byte, size)
-	if _, err := io.ReadFull(hr.r, blob); err != nil {
+	// The declared size is trusted only as the bytes arrive: a header
+	// claiming gigabytes over a short stream costs what the stream holds.
+	blob, err := io.ReadAll(io.LimitReader(hr.r, int64(size)))
+	if err == nil && uint64(len(blob)) != size {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("history: truncated epoch body: %w", err)
 	}
 	st, err := checkpoint.Load(bytes.NewReader(blob))

@@ -13,7 +13,7 @@ import (
 )
 
 // recordEpochs simulates a few moving snapshots and appends each epoch.
-func recordEpochs(t *testing.T, buf *bytes.Buffer, epochs int) (*location.DB, geo.Rect, int) {
+func recordEpochs(t testing.TB, buf *bytes.Buffer, epochs int) (*location.DB, geo.Rect, int) {
 	t.Helper()
 	const (
 		k    = 8

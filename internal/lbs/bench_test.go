@@ -1,12 +1,14 @@
 package lbs
 
 import (
+	"fmt"
 	"math/rand"
 	"strconv"
 	"sync/atomic"
 	"testing"
 
 	"policyanon/internal/geo"
+	"policyanon/internal/location"
 )
 
 // The provider-side benchmarks run at the repo benchmark's shape: 20k
@@ -93,4 +95,46 @@ func BenchmarkProviderAnswerParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+var benchGroups []Group
+
+// BenchmarkGroupsOn groups 100k records holding about 2 000 cloaks, ~50 a
+// cloak (the shape of a k = 50 policy), at GOMAXPROCS goroutines: on the
+// flat storage of a from-scratch policy and on the paged storage a delta
+// chain derives from it.
+//
+//	go test ./internal/lbs -run '^$' -bench GroupsOn -benchtime 20x
+func BenchmarkGroupsOn(b *testing.B) {
+	const users, side = 100_000, 23
+	rng := rand.New(rand.NewSource(42))
+	recs := make([]location.Record, users)
+	cloaks := make([]geo.Rect, users)
+	for i := range recs {
+		p := geo.Point{X: rng.Int31n(1 << 10), Y: rng.Int31n(1 << 10)}
+		recs[i] = location.Record{UserID: "u" + strconv.Itoa(i), Loc: p}
+		cloaks[i] = cellCloak(p, side)
+	}
+	db, err := location.FromRecords(recs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	flat, err := NewAssignment(db, cloaks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	paged := flat
+	for range 8 {
+		paged = randomDelta(b, rng, paged)
+	}
+	for _, c := range []struct {
+		name string
+		a    *Assignment
+	}{{"flat", flat}, {"paged", paged}} {
+		b.Run(fmt.Sprintf("users=%d/%s", users, c.name), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				benchGroups = c.a.Groups()
+			}
+		})
+	}
 }

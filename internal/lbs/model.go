@@ -8,12 +8,12 @@
 package lbs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"iter"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -75,30 +75,59 @@ func ParamsEqual(a, b []Param) bool {
 // policy is deterministic and depends only on the snapshot, an Assignment
 // fully determines the Definition-4 policy on this snapshot.
 //
+// The cloaks are interned: a table of cloak rectangles and, per record,
+// one int32 id into it, so CloakAt(i) is table[id[i]]. A policy-aware
+// attacker's candidate set is a cloaking group (Definitions 5–6), and
+// Bulk_dp issues one tree-node region per group (Lemma 1), so the table
+// holds about |D|/k entries and grouping the records is a counting sort
+// over their ids. The table may hold one rectangle under two ids (a
+// caller's table, or a delta chain's appends); every reader that groups
+// by cloak merges them (GroupsOn), so an id is never taken for a cloak.
+//
 // Assignments are immutable once built and versioned: a policy change
-// produces a new value, either from scratch (NewAssignment, flat cloak
-// storage) or derived from a predecessor (ApplyDelta, paged copy-on-write
-// storage sharing every unchanged page with the parent). Version()
-// increases monotonically across both paths, so consumers can memoize
-// per-assignment results and, via Delta(), invalidate only what a delta
-// publish actually touched.
+// produces a new value, either from scratch (NewAssignment,
+// NewTableAssignment: flat id storage and a table of their own) or derived
+// from a predecessor (ApplyDelta: copy-on-write pages of 128 ids sharing
+// every unchanged page with the parent, and a table the chain appends to).
+// Version() increases monotonically across both paths, so consumers can
+// memoize per-assignment results and, via Delta(), invalidate only what a
+// delta publish actually touched.
 type Assignment struct {
 	db *location.DB
-	// cloaks is the flat storage of from-scratch assignments (nil iff
-	// paged); pages is the copy-on-write storage of delta-derived ones.
-	cloaks []geo.Rect // indexed like db records
-	pages  [][]geo.Rect
-	n      int
-	// cost is the summed cloak area (Cost), kept by NewAssignment and
+	// table maps a cloak id to its rectangle. Entries no record holds any
+	// more stay until the chain compacts (see ApplyDelta).
+	table []geo.Rect
+	// ids is the flat storage of from-scratch assignments; pages, nil for
+	// them, is the copy-on-write storage of delta-derived ones.
+	ids   []int32 // indexed like db records
+	pages [][]int32
+	n     int
+	// cost is the summed cloak area (Cost), kept by the constructors and
 	// ApplyDelta so that reading it is O(1).
 	cost int64
 
 	version uint64
 	delta   *Delta
 
+	// claimed is set by the first ApplyDelta on this assignment, which
+	// takes over tail and the table's spare capacity; any later one works
+	// on copies, so two children of one parent never write the same slot.
+	claimed atomic.Bool
+	tail    *chainTail // nil until a delta derivation has built it
+
 	// memo is the assignment's one derived-value slot (see Memo).
 	memoMu sync.Mutex
 	memo   atomic.Pointer[memo]
+}
+
+// chainTail is what a delta chain carries from link to link so ApplyDelta
+// stays O(changes): the table's rectangles indexed (a re-issued cloak
+// reuses its id) and how many records hold each id (a table mostly of
+// dead ids is compacted).
+type chainTail struct {
+	index map[geo.Rect]int32 // rectangle -> id
+	refs  []int32            // id -> records holding it
+	live  int                // ids with refs > 0
 }
 
 // memo is a value derived from an assignment, tagged with the snapshot
@@ -108,11 +137,11 @@ type memo struct {
 	val       any
 }
 
-// Cloak pages hold 128 entries: small enough that rewriting one cloak
-// copies ~2 KiB (cloak-delta batches touch pages roughly one per changed
-// user, so page size sets the COW traffic per publish almost linearly),
-// large enough that the page table of the paper's 1.75M Master set stays
-// around fourteen thousand entries.
+// Id pages hold 128 entries: small enough that rewriting one cloak copies
+// 512 B (cloak-delta batches touch pages roughly one per changed user, so
+// page size sets the COW traffic per publish almost linearly), large
+// enough that the page table of the paper's 1.75M Master set stays around
+// fourteen thousand entries.
 const (
 	cloakPageShift = 7
 	cloakPageSize  = 1 << cloakPageShift
@@ -160,34 +189,76 @@ var ErrNotMasking = errors.New("lbs: cloak does not contain the user location")
 var ErrDeltaMismatch = errors.New("lbs: delta does not match the parent assignment")
 
 // NewAssignment wraps per-record cloaks over a snapshot, verifying the
-// masking property. The cloaks slice is copied, so later mutation of the
-// caller's slice cannot corrupt the assignment.
+// masking property. The cloaks are interned through one map, so later
+// mutation of the caller's slice cannot corrupt the assignment.
 func NewAssignment(db *location.DB, cloaks []geo.Rect) (*Assignment, error) {
 	if len(cloaks) != db.Len() {
 		return nil, fmt.Errorf("lbs: %d cloaks for %d users", len(cloaks), db.Len())
 	}
-	var cost int64
+	index := make(map[geo.Rect]int32)
+	var table []geo.Rect
+	ids := make([]int32, len(cloaks))
 	for i, c := range cloaks {
-		if !c.ContainsClosed(db.At(i).Loc) {
-			return nil, fmt.Errorf("%w: user %q at %v, cloak %v",
-				ErrNotMasking, db.At(i).UserID, db.At(i).Loc, c)
+		id, ok := index[c]
+		if !ok {
+			id = int32(len(table))
+			index[c] = id
+			table = append(table, c)
+		}
+		ids[i] = id
+	}
+	return NewTableAssignment(db, table, ids)
+}
+
+// NewTableAssignment wraps an interned policy over a snapshot: record i is
+// issued table[ids[i]]. It verifies that every id is in the table and the
+// masking property, and takes ownership of both slices. The table may hold
+// one rectangle under two ids, and entries no record holds.
+func NewTableAssignment(db *location.DB, table []geo.Rect, ids []int32) (*Assignment, error) {
+	if len(ids) != db.Len() {
+		return nil, fmt.Errorf("lbs: %d cloak ids for %d users", len(ids), db.Len())
+	}
+	var cost int64
+	for i, id := range ids {
+		if id < 0 || int(id) >= len(table) {
+			return nil, fmt.Errorf("lbs: user %q has cloak id %d, table has %d", db.At(i).UserID, id, len(table))
+		}
+		c := table[id]
+		if loc := db.At(i).Loc; !c.ContainsClosed(loc) {
+			return nil, fmt.Errorf("%w: user %q at %v, cloak %v", ErrNotMasking, db.At(i).UserID, loc, c)
 		}
 		cost += c.Area()
 	}
 	return &Assignment{
 		db:      db,
-		cloaks:  append([]geo.Rect(nil), cloaks...),
-		n:       db.Len(),
+		table:   table,
+		ids:     ids,
+		n:       len(ids),
 		cost:    cost,
 		version: assignVersion.Add(1),
 	}, nil
 }
 
+// Rebind returns the same policy over db, which must hold a's locations in
+// a's record order (an immutable clone of a's snapshot): it shares a's
+// table and, when a is flat, its ids, and re-verifies masking.
+func (a *Assignment) Rebind(db *location.DB) (*Assignment, error) {
+	ids := a.ids
+	if a.pages != nil {
+		ids = slices.Concat(a.pages...)
+	}
+	return NewTableAssignment(db, slices.Clip(a.table), ids)
+}
+
 // ApplyDelta derives the successor assignment: the parent's snapshot with
 // moves applied (through location.DB's copy-on-write clone) and the
-// parent's cloaks with changes applied (copying only the touched cloak
-// pages). The cost is O(moves + changes), not O(|D|): unchanged record and
-// cloak pages are shared with the parent, which stays fully usable.
+// parent's cloak ids with changes applied (copying only the touched id
+// pages). A changed-to cloak reuses its table id when the table already
+// holds it, else it is appended; once more than half the table is ids no
+// record holds, the successor gets a compacted table and fresh pages. The
+// cost is O(moves + changes) apart from those compactions, not O(|D|):
+// unchanged record and id pages are shared with the parent, which stays
+// fully usable.
 //
 // Every move's From and every change's Old is checked against the parent —
 // a mismatch returns ErrDeltaMismatch — and masking is re-verified for
@@ -205,6 +276,12 @@ func (a *Assignment) ApplyDelta(moves []Move, changes []CloakChange) (*Assignmen
 		}
 		mm[mv.Index] = mv.To
 	}
+	for _, c := range changes {
+		if c.Index < 0 || c.Index >= n {
+			return nil, fmt.Errorf("lbs: delta cloak index %d out of range [0,%d)", c.Index, n)
+		}
+	}
+	tail, table := a.takeTail()
 	next := &Assignment{
 		db:      a.db.CloneWithMoves(mm),
 		n:       n,
@@ -216,37 +293,45 @@ func (a *Assignment) ApplyDelta(moves []Move, changes []CloakChange) (*Assignmen
 	// zero copying (the parent is immutable, so subslicing is safe — a
 	// rewrite below replaces the whole page, never writes through).
 	if a.pages != nil {
-		next.pages = append(make([][]geo.Rect, 0, len(a.pages)), a.pages...)
+		next.pages = append(make([][]int32, 0, len(a.pages)), a.pages...)
 	} else {
-		next.pages = make([][]geo.Rect, (n+cloakPageSize-1)/cloakPageSize)
+		next.pages = make([][]int32, (n+cloakPageSize-1)/cloakPageSize)
 		for p := range next.pages {
 			lo := p << cloakPageShift
-			hi := lo + cloakPageSize
-			if hi > n {
-				hi = n
-			}
-			next.pages[p] = a.cloaks[lo:hi:hi]
+			hi := min(n, lo+cloakPageSize)
+			next.pages[p] = a.ids[lo:hi:hi]
 		}
 	}
 	copied := make(map[int]struct{}, len(changes)>>4+1)
 	for _, c := range changes {
-		if c.Index < 0 || c.Index >= n {
-			return nil, fmt.Errorf("lbs: delta cloak index %d out of range [0,%d)", c.Index, n)
-		}
 		p := c.Index >> cloakPageShift
 		if _, ok := copied[p]; !ok {
-			next.pages[p] = append([]geo.Rect(nil), next.pages[p]...)
+			next.pages[p] = slices.Clone(next.pages[p])
 			copied[p] = struct{}{}
 		}
-		if got := next.pages[p][c.Index&cloakPageMask]; got != c.Old {
+		slot := &next.pages[p][c.Index&cloakPageMask]
+		if got := table[*slot]; got != c.Old {
 			return nil, fmt.Errorf("%w: cloak %d old %v, parent has %v", ErrDeltaMismatch, c.Index, c.Old, got)
 		}
-		next.pages[p][c.Index&cloakPageMask] = c.New
+		id, ok := tail.index[c.New]
+		if !ok {
+			id = int32(len(table))
+			tail.index[c.New] = id
+			table = append(table, c.New)
+			tail.refs = append(tail.refs, 0)
+		}
+		tail.release(*slot)
+		tail.hold(id)
+		*slot = id
 		next.cost += c.New.Area() - c.Old.Area()
 	}
-	// Masking, re-verified for exactly what the delta touched (NewAssignment
-	// verifies all of |D|; everything untouched was verified when the
-	// ancestor was built).
+	next.table, next.tail = table, tail
+	if len(next.table) > 2*tail.live {
+		next.compact()
+	}
+	// Masking, re-verified for exactly what the delta touched (the
+	// constructors verify all of |D|; everything untouched was verified
+	// when the ancestor was built).
 	for _, c := range changes {
 		if loc := next.db.At(c.Index).Loc; !c.New.ContainsClosed(loc) {
 			return nil, fmt.Errorf("%w: user %q at %v, cloak %v",
@@ -260,6 +345,81 @@ func (a *Assignment) ApplyDelta(moves []Move, changes []CloakChange) (*Assignmen
 		}
 	}
 	return next, nil
+}
+
+// takeTail hands a delta derivation the chain state it extends and the
+// table it may append to. The first derivation takes a's own (building it
+// on a's first derivation) and the table's spare capacity; a later one gets
+// a copy rebuilt from a's immutable table and ids, and a table that
+// reallocates on its first append.
+func (a *Assignment) takeTail() (*chainTail, []geo.Rect) {
+	if a.claimed.CompareAndSwap(false, true) {
+		t := a.tail
+		a.tail = nil
+		if t == nil {
+			t = a.buildTail()
+		}
+		return t, a.table
+	}
+	return a.buildTail(), slices.Clip(a.table)
+}
+
+// buildTail indexes a's table and counts the records holding each id.
+func (a *Assignment) buildTail() *chainTail {
+	t := &chainTail{index: make(map[geo.Rect]int32, len(a.table)), refs: make([]int32, len(a.table))}
+	for id, c := range a.table {
+		if _, ok := t.index[c]; !ok {
+			t.index[c] = int32(id)
+		}
+	}
+	for _, run := range a.idRuns(0, a.n) {
+		for _, id := range run {
+			t.hold(id)
+		}
+	}
+	return t
+}
+
+func (t *chainTail) hold(id int32) {
+	if t.refs[id] == 0 {
+		t.live++
+	}
+	t.refs[id]++
+}
+
+func (t *chainTail) release(id int32) {
+	t.refs[id]--
+	if t.refs[id] == 0 {
+		t.live--
+	}
+}
+
+// compact drops the table entries no record holds and renumbers every id,
+// writing fresh pages: O(|D|), paid once the chain has appended at least
+// as many entries as it keeps, so O(1) per appended entry.
+func (a *Assignment) compact() {
+	t := a.tail
+	remap := make([]int32, len(a.table))
+	table := make([]geo.Rect, 0, t.live)
+	refs := make([]int32, 0, t.live)
+	clear(t.index)
+	for id, c := range a.table {
+		if t.refs[id] == 0 {
+			continue
+		}
+		remap[id] = int32(len(table))
+		t.index[c] = int32(len(table))
+		table = append(table, c)
+		refs = append(refs, t.refs[id])
+	}
+	for p, pg := range a.pages {
+		fresh := make([]int32, len(pg))
+		for j, id := range pg {
+			fresh[j] = remap[id]
+		}
+		a.pages[p] = fresh
+	}
+	a.table, t.refs = table, refs
 }
 
 // Version returns the assignment's globally monotonic version: later-built
@@ -305,29 +465,48 @@ func (a *Assignment) Memo(build func() any) any {
 
 // CloakAt returns the cloak of the i-th record.
 func (a *Assignment) CloakAt(i int) geo.Rect {
-	if a.cloaks != nil {
-		return a.cloaks[i]
+	if a.pages == nil {
+		return a.table[a.ids[i]]
 	}
-	return a.pages[i>>cloakPageShift][i&cloakPageMask]
+	return a.table[a.pages[i>>cloakPageShift][i&cloakPageMask]]
 }
 
+// TableLen returns the number of entries in the assignment's cloak table,
+// those no record holds included: at most about twice the distinct cloaks
+// the records hold, plus one delta's new cloaks, along any delta chain.
+func (a *Assignment) TableLen() int { return len(a.table) }
+
 // CloakRuns iterates the per-record cloaks in record order as contiguous
-// runs — the whole flat slice of a from-scratch assignment, one page at a
-// time for a delta-derived one — each with the record index of its first
-// entry. Full passes use it instead of CloakAt, which pays a storage-form
-// branch and a page-table hop per record. The runs are the assignment's
-// own storage: callers must not write to them.
-func (a *Assignment) CloakRuns() iter.Seq2[int, []geo.Rect] { return a.runs(0, a.n) }
+// runs of up to 128, each with the record index of its first entry. Full
+// passes use it instead of CloakAt, which pays a storage-form branch and a
+// page-table hop per record. A run is read out of the table into one
+// buffer that the next run overwrites: callers must not write to it or
+// keep it.
+func (a *Assignment) CloakRuns() iter.Seq2[int, []geo.Rect] {
+	return func(yield func(int, []geo.Rect) bool) {
+		buf := make([]geo.Rect, cloakPageSize)
+		for base, run := range a.idRuns(0, a.n) {
+			for lo := 0; lo < len(run); lo += cloakPageSize {
+				part := run[lo:min(len(run), lo+cloakPageSize)]
+				out := buf[:len(part)]
+				for j, id := range part {
+					out[j] = a.table[id]
+				}
+				if !yield(base+lo, out) {
+					return
+				}
+			}
+		}
+	}
+}
 
 // Cloaks returns a freshly allocated copy of the per-record cloaks in
-// record order; mutating it does not affect the assignment.
+// record order, read out of the table; mutating it does not affect the
+// assignment.
 func (a *Assignment) Cloaks() []geo.Rect {
-	if a.cloaks != nil {
-		return append([]geo.Rect(nil), a.cloaks...)
-	}
 	out := make([]geo.Rect, 0, a.n)
-	for _, pg := range a.pages {
-		out = append(out, pg...)
+	for _, run := range a.CloakRuns() {
+		out = append(out, run...)
 	}
 	return out
 }
@@ -369,126 +548,97 @@ func (a *Assignment) AvgArea() float64 {
 
 // Groups returns the cloaking groups: for each distinct cloak, the indices
 // of users assigned to it, each group sorted ascending and the groups
-// ordered deterministically. It is one O(|D|) pass plus a sort of the
-// distinct cloaks: records are numbered by group as they are met and then
-// counting-sorted into one shared backing array, which leaves every
-// group's members ascending without sorting them. Both passes are split
-// across GOMAXPROCS goroutines, at most one per cloak page; the result
-// does not depend on how many.
+// ordered deterministically. It is a sort of the cloak table, which merges
+// any rectangle stored under two ids, and a counting sort of the records
+// by their canonical id into one shared backing array, which leaves every
+// group's members ascending without sorting them: no record's rectangle is
+// hashed or compared. The counting passes are split across GOMAXPROCS
+// goroutines, at most one per id page; the result does not depend on how
+// many.
 func (a *Assignment) Groups() []Group { return a.GroupsOn(runtime.GOMAXPROCS(0)) }
 
-// groupPart is one contiguous range of records numbered on its own: the
-// distinct cloaks in the order the range first meets them, how many of its
-// records each has, and where its members go in the shared backing array.
-type groupPart struct {
-	lo, hi int
-	number map[geo.Rect]int32 // cloak -> local number
-	cloaks []geo.Rect         // local number -> cloak
-	sizes  []int              // local number -> records in the range
-	global []int32            // local number -> cloak number of the whole assignment
-	next   []int              // local number -> next free slot in members
-}
-
-// GroupsOn is Groups split across up to workers goroutines, each taking a
-// range of whole cloak pages. Numbering the ranges' cloaks as the first
-// range meets them, then each later range's unseen ones as it meets them,
-// is exactly the record-order first-met numbering of one pass; and a
-// group's members fill its slice range by range, so they stay ascending.
+// GroupsOn is Groups split across up to workers goroutines, each counting
+// and then placing a range of whole id pages. A group's slice is filled
+// range by range in record order, so its members stay ascending.
 func (a *Assignment) GroupsOn(workers int) []Group {
+	canon, cloaks := a.canonical()
 	pages := (a.n + cloakPageMask) >> cloakPageShift
 	workers = max(1, min(workers, pages))
-	parts := make([]groupPart, workers)
-	for w := range parts {
-		parts[w].lo = min(a.n, (w*pages/workers)<<cloakPageShift)
-		parts[w].hi = min(a.n, ((w+1)*pages/workers)<<cloakPageShift)
+	part := func(w int) (lo, hi int) {
+		return min(a.n, (w*pages/workers)<<cloakPageShift), min(a.n, ((w+1)*pages/workers)<<cloakPageShift)
 	}
-	gid := make([]int32, a.n) // record -> local number within its part
-	fanOut(workers, func(w int) { a.numberRange(&parts[w], gid) })
-
-	// The whole assignment's numbering: the first part's, extended by each
-	// later part's unseen cloaks in its first-met order.
-	first := &parts[0]
-	number := first.number
-	cloaks := slices.Clone(first.cloaks)
-	sizes := slices.Clone(first.sizes)
-	for w := 1; w < workers; w++ {
-		p := &parts[w]
-		p.global = make([]int32, len(p.cloaks))
-		for l, c := range p.cloaks {
-			g, ok := number[c]
-			if !ok {
-				g = int32(len(cloaks))
-				number[c] = g
-				cloaks = append(cloaks, c)
-				sizes = append(sizes, 0)
+	nc := len(cloaks)
+	// next[w*nc+c] counts part w's records under canonical cloak c, then
+	// holds where the next of them goes in members.
+	next := make([]int, workers*nc)
+	fanOut(workers, func(w int) {
+		count := next[w*nc : (w+1)*nc]
+		for _, run := range a.idRuns(part(w)) {
+			for _, id := range run {
+				count[canon[id]]++
 			}
-			sizes[g] += p.sizes[l]
-			p.global[l] = g
 		}
-	}
-
-	order := make([]int32, len(cloaks)) // output position -> cloak number
-	for g := range order {
-		order[g] = int32(g)
-	}
-	sort.Slice(order, func(i, j int) bool { return rectLess(cloaks[order[i]], cloaks[order[j]]) })
+	})
 	members := make([]int, a.n)
-	groups := make([]Group, len(cloaks))
-	next := make([]int, len(cloaks)) // cloak number -> next free slot in members
+	groups := make([]Group, 0, nc)
 	off := 0
-	for pos, g := range order {
-		end := off + sizes[g]
-		groups[pos] = Group{Cloak: cloaks[g], Members: members[off:end:end]}
-		next[g] = off
-		off = end
-	}
-	for w := range parts {
-		p := &parts[w]
-		p.next = make([]int, len(p.cloaks))
-		for l := range p.cloaks {
-			g := int32(l)
-			if p.global != nil {
-				g = p.global[l]
-			}
-			p.next[l] = next[g]
-			next[g] += p.sizes[l]
+	for c, cloak := range cloaks {
+		start := off
+		for w := range workers {
+			n := next[w*nc+c]
+			next[w*nc+c] = off
+			off += n
+		}
+		if off > start { // ids no record holds make no group
+			groups = append(groups, Group{Cloak: cloak, Members: members[start:off:off]})
 		}
 	}
 	fanOut(workers, func(w int) {
-		p := &parts[w]
-		for i := p.lo; i < p.hi; i++ {
-			members[p.next[gid[i]]] = i
-			p.next[gid[i]]++
+		place := next[w*nc : (w+1)*nc]
+		for base, run := range a.idRuns(part(w)) {
+			for j, id := range run {
+				c := canon[id]
+				members[place[c]] = base + j
+				place[c]++
+			}
 		}
 	})
 	return groups
 }
 
-// numberRange numbers the distinct cloaks of the records in [p.lo, p.hi)
-// as the range first meets them, writing each record's local number to gid.
-func (a *Assignment) numberRange(p *groupPart, gid []int32) {
-	p.number = make(map[geo.Rect]int32)
-	for base, run := range a.runs(p.lo, p.hi) {
-		for j, c := range run {
-			g, ok := p.number[c]
-			if !ok {
-				g = int32(len(p.cloaks))
-				p.number[c] = g
-				p.cloaks = append(p.cloaks, c)
-				p.sizes = append(p.sizes, 0)
-			}
-			p.sizes[g]++
-			gid[base+j] = g
-		}
+// canonical numbers the table's distinct rectangles in rectLess order and
+// maps every id to the number of its rectangle, so ids holding one
+// rectangle share a number and numbers run in group order.
+func (a *Assignment) canonical() (canon []int32, cloaks []geo.Rect) {
+	type entry struct {
+		cloak geo.Rect
+		id    int32
 	}
+	order := make([]entry, len(a.table))
+	for id, c := range a.table {
+		order[id] = entry{c, int32(id)}
+	}
+	slices.SortFunc(order, func(x, y entry) int { return rectCmp(x.cloak, y.cloak) })
+	canon = make([]int32, len(a.table))
+	for _, e := range order {
+		if len(cloaks) == 0 || cloaks[len(cloaks)-1] != e.cloak {
+			cloaks = append(cloaks, e.cloak)
+		}
+		canon[e.id] = int32(len(cloaks) - 1)
+	}
+	return canon, cloaks
 }
 
-// runs is CloakRuns restricted to the records in [lo, hi), where lo is a
-// page boundary and hi a page boundary or the end.
-func (a *Assignment) runs(lo, hi int) iter.Seq2[int, []geo.Rect] {
-	return func(yield func(int, []geo.Rect) bool) {
-		if a.cloaks != nil {
-			yield(lo, a.cloaks[lo:hi])
+// idRuns iterates the per-record ids in [lo, hi) as contiguous runs —
+// one run of flat storage, one page at a time of paged storage — each with
+// the record index of its first entry. lo is a page boundary and hi a page
+// boundary or the end.
+func (a *Assignment) idRuns(lo, hi int) iter.Seq2[int, []int32] {
+	return func(yield func(int, []int32) bool) {
+		if a.pages == nil {
+			if lo < hi {
+				yield(lo, a.ids[lo:hi])
+			}
 			return
 		}
 		for p := lo >> cloakPageShift; p<<cloakPageShift < hi; p++ {
@@ -520,15 +670,18 @@ type Group struct {
 	Members []int
 }
 
-func rectLess(a, b geo.Rect) bool {
-	if a.MinX != b.MinX {
-		return a.MinX < b.MinX
+// rectCmp orders rectangles by MinX, MinY, MaxX, MaxY.
+func rectCmp(a, b geo.Rect) int {
+	if c := cmp.Compare(a.MinX, b.MinX); c != 0 {
+		return c
 	}
-	if a.MinY != b.MinY {
-		return a.MinY < b.MinY
+	if c := cmp.Compare(a.MinY, b.MinY); c != 0 {
+		return c
 	}
-	if a.MaxX != b.MaxX {
-		return a.MaxX < b.MaxX
+	if c := cmp.Compare(a.MaxX, b.MaxX); c != 0 {
+		return c
 	}
-	return a.MaxY < b.MaxY
+	return cmp.Compare(a.MaxY, b.MaxY)
 }
+
+func rectLess(a, b geo.Rect) bool { return rectCmp(a, b) < 0 }

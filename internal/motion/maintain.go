@@ -202,7 +202,7 @@ func (m *maintainer) newPublisher(ctx context.Context) error {
 // returned by an engine references the live state the loop will keep
 // mutating, and published snapshots must never see that.
 func rebind(policy *lbs.Assignment) (*lbs.Assignment, error) {
-	return lbs.NewAssignment(policy.DB().Clone(), policy.Cloaks())
+	return policy.Rebind(policy.DB().Clone())
 }
 
 // gate is verifyPub as the chain's publish gate.
@@ -226,6 +226,7 @@ func (m *maintainer) verifyPub(ctx context.Context, pub *lbs.Assignment) error {
 	if sp != nil {
 		survey := attacker.SurveyOf(pub) // the one the check just built
 		sp.SetInt("groups", int64(len(survey.Groups())))
+		sp.SetInt("cloak_table", int64(pub.TableLen()))
 		sp.SetInt("min_aware", int64(rep.MinAware))
 		sp.SetInt("min_unaware", int64(rep.MinUnaware))
 		if err := survey.IndexErr(); err != nil {

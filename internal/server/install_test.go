@@ -102,8 +102,8 @@ func BenchmarkInstall(b *testing.B) {
 // DP, Extract, the install audit and the response. Two bodies alternate,
 // as in BenchmarkInstall. The DP's worker pool and the index filled
 // beside it start goroutines, so the budget grows with GOMAXPROCS; CI
-// runs the test at 1, 2 and 8. Measured on 2 vCPUs: 707 allocs and
-// 3.09 MB at 1, 750 and 3.12 MB at 2, 967 and 3.27 MB at 8.
+// runs the test at 1, 2 and 8. Measured on 2 vCPUs: 685 allocs and
+// 2.57 MB at 1, 693 and 2.57 MB at 2, 719 and 2.58 MB at 8.
 func TestInstallAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -119,7 +119,7 @@ func TestInstallAllocs(t *testing.T) {
 		postSnapshot(h, body)
 	}
 	procs := uint64(runtime.GOMAXPROCS(0))
-	maxAllocs, maxBytes := 727+40*(procs-1), 3_150_000+30_000*(procs-1)
+	maxAllocs, maxBytes := 700+5*(procs-1), 2_700_000+4_000*(procs-1)
 	// The fewest over a few runs: goroutine start-up may or may not reuse
 	// a parked goroutine, which moves the count by a handful.
 	allocs, bytes := ^uint64(0), ^uint64(0)

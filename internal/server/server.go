@@ -641,11 +641,7 @@ func installIncremental(ctx context.Context, live, db *location.DB, bounds geo.R
 	if err != nil {
 		return nil, nil, err
 	}
-	cloaks, err := a.Matrix().Extract()
-	if err != nil {
-		return nil, nil, err
-	}
-	policy, err := lbs.NewAssignment(db, cloaks)
+	policy, err := a.Matrix().Policy(db)
 	if err != nil {
 		return nil, nil, err
 	}
