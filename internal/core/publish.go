@@ -13,8 +13,8 @@ import (
 // matrix's extraction baseline — Publish extracts only the changed cloaks
 // (Matrix.ExtractDelta) and derives the next assignment copy-on-write
 // (Assignment.ApplyDelta), so a small batch costs O(dirty subtrees), not
-// O(|D|). Otherwise it publishes in full over an immutable clone of the
-// snapshot. Only a publish that passes the caller's gate anchors the
+// O(|D|). Otherwise it publishes in full over an O(pages) copy-on-write
+// view of the snapshot (CloneWithMoves(nil)). Only a publish that passes the caller's gate anchors the
 // chain; every failure (a failed Move, a delta that does not match its
 // parent, a gate refusal) unanchors it, so the next publish is full.
 //
@@ -95,7 +95,7 @@ func (p *Publisher) Publish(gate func(*lbs.Assignment) error) (Publication, erro
 		}
 	}
 	if pub.Policy == nil {
-		full, err := p.anon.matrix.Policy(p.anon.db.Clone())
+		full, err := p.anon.matrix.Policy(p.anon.db.CloneWithMoves(nil))
 		if err != nil {
 			return Publication{}, err
 		}

@@ -48,40 +48,6 @@ func TestSiblingDeltasStayApart(t *testing.T) {
 	}
 }
 
-// TestRebind moves a flat and a paged policy onto clones of their
-// snapshots: the cloaks, cost and groups carry over, a version is minted,
-// and a snapshot whose record left its cloak is refused.
-func TestRebind(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	flat := groupedAssignment(t, rng, 600)
-	paged := randomDelta(t, rng, randomDelta(t, rng, flat))
-	for name, a := range map[string]*Assignment{"flat": flat, "paged": paged} {
-		b, err := a.Rebind(a.DB().Clone())
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(b.Cloaks(), a.Cloaks()) || b.Cost() != a.Cost() || !reflect.DeepEqual(b.Groups(), a.Groups()) {
-			t.Fatalf("%s: the rebound policy differs", name)
-		}
-		if b.Version() <= a.Version() || b.Delta() != nil {
-			t.Fatalf("%s: version %d after %d, delta %v", name, b.Version(), a.Version(), b.Delta())
-		}
-		// The rebound policy derives on its own table.
-		if _, err := b.ApplyDelta(nil, []CloakChange{{Index: 3, Old: b.CloakAt(3), New: geo.NewRect(0, 0, 1<<10, 1<<10)}}); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if a.CloakAt(3) != b.CloakAt(3) {
-			t.Fatalf("%s: a delta of the rebound policy reached its source", name)
-		}
-		moved := a.DB().Clone()
-		c := a.CloakAt(5)
-		moved.MoveAt(5, geo.Point{X: c.MaxX + 1, Y: c.MaxY + 1})
-		if _, err := a.Rebind(moved); !errors.Is(err, ErrNotMasking) {
-			t.Fatalf("%s: rebinding onto a snapshot that left a cloak: %v, want ErrNotMasking", name, err)
-		}
-	}
-}
-
 // TestNewTableAssignmentChecksIDs refuses an id outside the table and a
 // table entry that does not mask its record, and sums the cost through
 // the table.

@@ -239,17 +239,6 @@ func NewTableAssignment(db *location.DB, table []geo.Rect, ids []int32) (*Assign
 	}, nil
 }
 
-// Rebind returns the same policy over db, which must hold a's locations in
-// a's record order (an immutable clone of a's snapshot): it shares a's
-// table and, when a is flat, its ids, and re-verifies masking.
-func (a *Assignment) Rebind(db *location.DB) (*Assignment, error) {
-	ids := a.ids
-	if a.pages != nil {
-		ids = slices.Concat(a.pages...)
-	}
-	return NewTableAssignment(db, slices.Clip(a.table), ids)
-}
-
 // ApplyDelta derives the successor assignment: the parent's snapshot with
 // moves applied (through location.DB's copy-on-write clone) and the
 // parent's cloak ids with changes applied (copying only the touched id
@@ -445,9 +434,9 @@ func (a *Assignment) Len() int { return a.n }
 // memo (attacker.SurveyOf's policy survey). Concurrent callers build once.
 //
 // An assignment is immutable but its snapshot is only immutable by
-// convention (an engine's policy is bound to the live DB until it is
-// rebound to a clone), so the slot is keyed on the snapshot's Version: a
-// value derived before an in-place move is rebuilt, never served stale.
+// convention (core.Anonymizer.Policy binds to the live DB its matrix
+// moves), so the slot is keyed on the snapshot's Version: a value derived
+// before an in-place move is rebuilt, never served stale.
 func (a *Assignment) Memo(build func() any) any {
 	ver := a.db.Version()
 	if m := a.memo.Load(); m != nil && m.dbVersion == ver {

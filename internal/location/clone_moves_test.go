@@ -102,7 +102,7 @@ func TestCloneWithMovesIsolation(t *testing.T) {
 	p600 := parent.At(600).Loc
 	child := parent.CloneWithMoves(map[int]geo.Point{600: {X: 7, Y: 7}})
 
-	// Mutating the child (forces flatten) leaves the parent alone.
+	// Mutating the child (copies page 0) leaves the parent alone.
 	child.MoveAt(0, geo.Point{X: 8, Y: 8})
 	if got := parent.At(0).Loc; got == (geo.Point{X: 8, Y: 8}) {
 		t.Fatal("child MoveAt wrote through to parent")
@@ -110,7 +110,7 @@ func TestCloneWithMovesIsolation(t *testing.T) {
 	if got := parent.At(600).Loc; got != p600 {
 		t.Fatalf("parent record 600 = %v, want %v", got, p600)
 	}
-	// Mutating the parent leaves the (already flattened) child alone.
+	// Mutating the parent (copies page 4) leaves the child alone.
 	parent.MoveAt(600, geo.Point{X: 9, Y: 9})
 	if got := child.At(600).Loc; got != (geo.Point{X: 7, Y: 7}) {
 		t.Fatalf("parent MoveAt visible in child: %v", got)

@@ -10,8 +10,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -28,26 +30,31 @@ type Record struct {
 // DB is a snapshot of the location database. The zero value is an empty
 // snapshot ready for use.
 //
-// A snapshot has one of two storage forms. Directly built snapshots are
-// flat (one record slice). CloneWithMoves produces paged copy-on-write
-// snapshots that share every unchanged record page — and the user index —
-// with their parent, so deriving the next published snapshot from a small
-// move batch costs O(moves), not O(|D|). Both forms serve reads
-// identically. In-place mutation of a paged snapshot flattens it first
-// (see ensureMutable), so writing a child never changes its parent. A
-// flat snapshot is written in place, and its children's pages alias its
-// records: no caller writes a flat parent while one of its children is
-// read.
+// A snapshot has one of two storage forms, which serve reads identically.
+// Directly built snapshots are flat (one record slice). CloneWithMoves
+// derives paged snapshots that share every unchanged 128-record page —
+// and the user index — with their parent, so deriving the next published
+// snapshot from a small move batch costs O(moves), not O(|D|).
+//
+// One rule governs every write: storage that has been shared is never
+// written in place. CloneWithMoves marks the storage of both sides as
+// shared. Move and MoveAt then copy the one page they land on (a shared
+// flat snapshot turns paged by subslicing, copying no record), and Add
+// copies the last page and the user index. So each snapshot reads
+// exactly its own history, whichever of its relatives is written later.
 type DB struct {
 	records []Record       // flat storage; nil iff paged
-	pages   [][]Record     // copy-on-write storage; nil iff flat
+	pages   [][]Record     // paged storage; nil iff flat
 	n       int            // record count when paged
-	byUser  map[string]int // user id -> index in records
-	// sharedIndex marks byUser as shared with a COW relative; Add copies
-	// it before inserting (Move/MoveAt never mutate the index, so location
-	// updates keep sharing it).
+	byUser  map[string]int // user id -> record index
+	version uint64         // bumped on every mutation; see Version
+	// The sharing marks, read by writers only. shared marks flat records
+	// a copy-on-write relative reads; owned[p] that page p is this
+	// snapshot's alone; sharedIndex that byUser is shared, so Add copies
+	// it before inserting (Move and MoveAt never write it).
+	shared      bool
+	owned       []bool
 	sharedIndex bool
-	version     uint64 // bumped on every mutation; see Version
 	// indexing and indexErr are FromRecordsBeside's join: the goroutine
 	// filling byUser sets indexErr before it is done.
 	indexing sync.WaitGroup
@@ -151,7 +158,6 @@ func (db *DB) fillIndex() error {
 
 // Add inserts a user at the given location.
 func (db *DB) Add(userID string, loc geo.Point) error {
-	db.ensureMutable()
 	if db.byUser == nil {
 		db.byUser = make(map[string]int)
 	}
@@ -159,33 +165,68 @@ func (db *DB) Add(userID string, loc geo.Point) error {
 		return fmt.Errorf("%w: %q", ErrDuplicateUser, userID)
 	}
 	if db.sharedIndex {
-		idx := make(map[string]int, len(db.byUser)+1)
-		for k, v := range db.byUser {
-			idx[k] = v
-		}
-		db.byUser = idx
+		db.byUser = maps.Clone(db.byUser)
 		db.sharedIndex = false
 	}
-	db.byUser[userID] = len(db.records)
-	db.records = append(db.records, Record{UserID: userID, Loc: loc})
+	i, rec := db.Len(), Record{UserID: userID, Loc: loc}
+	if db.pages == nil && !db.shared {
+		db.records = append(db.records, rec)
+	} else {
+		db.pageify()
+		if i&recPageMask == 0 {
+			db.pages, db.owned = append(db.pages, make([]Record, 0, recPageSize)), append(db.owned, true)
+		}
+		p := len(db.pages) - 1
+		db.own(p)
+		db.pages[p] = append(db.pages[p], rec)
+		db.n++
+	}
+	db.byUser[userID] = i
 	db.version++
 	return nil
 }
 
-// ensureMutable flattens a paged snapshot into flat storage before an
-// in-place write, so mutation never writes through pages shared with a
-// copy-on-write relative.
-func (db *DB) ensureMutable() {
-	if db.pages == nil {
+// slot returns record i for writing: in place while the storage is this
+// snapshot's alone, else in a private copy of its page.
+func (db *DB) slot(i int) *Record {
+	if db.pages == nil && !db.shared {
+		return &db.records[i]
+	}
+	db.pageify()
+	db.own(i >> recPageShift)
+	return &db.pages[i>>recPageShift][i&recPageMask]
+}
+
+// pageify turns flat storage into pages that subslice it, copying no
+// record; none of them is owned, since the flat records may be shared.
+func (db *DB) pageify() {
+	if db.pages != nil {
 		return
 	}
-	flat := make([]Record, 0, db.n)
-	for _, pg := range db.pages {
-		flat = append(flat, pg...)
+	db.pages, db.n = pagesOf(db.records), len(db.records)
+	db.owned = make([]bool, len(db.pages))
+	db.records, db.shared = nil, false
+}
+
+// own copies page p unless this snapshot owns it already. The copy has a
+// full page of capacity, so Add appends to it in place.
+func (db *DB) own(p int) {
+	if !db.owned[p] {
+		db.pages[p] = append(make([]Record, 0, recPageSize), db.pages[p]...)
+		db.owned[p] = true
 	}
-	db.records = flat
-	db.pages = nil
-	db.n = 0
+}
+
+// pagesOf splits recs into pages by subslicing. Each page's capacity ends
+// at its length, so an append to one never grows into its neighbour.
+func pagesOf(recs []Record) [][]Record {
+	pages := make([][]Record, (len(recs)+recPageSize-1)/recPageSize)
+	for p := range pages {
+		lo := p << recPageShift
+		hi := min(lo+recPageSize, len(recs))
+		pages[p] = recs[lo:hi:hi]
+	}
+	return pages
 }
 
 // Version returns a counter incremented on every mutation (Add, Move,
@@ -268,25 +309,22 @@ func (db *DB) Index(userID string) int {
 	return i
 }
 
-// Move updates a user's location in place, modelling one row of the next
+// Move updates a user's location, modelling one row of the next
 // snapshot. It returns the previous location.
 func (db *DB) Move(userID string, to geo.Point) (geo.Point, error) {
 	i, ok := db.byUser[userID]
 	if !ok {
 		return geo.Point{}, fmt.Errorf("%w: %q", ErrUnknownUser, userID)
 	}
-	db.ensureMutable()
-	prev := db.records[i].Loc
-	db.records[i].Loc = to
-	db.version++
-	return prev, nil
+	return db.MoveAt(i, to), nil
 }
 
 // MoveAt updates the i-th record's location and returns the previous one.
+// On shared storage it copies the record's page first.
 func (db *DB) MoveAt(i int, to geo.Point) geo.Point {
-	db.ensureMutable()
-	prev := db.records[i].Loc
-	db.records[i].Loc = to
+	r := db.slot(i)
+	prev := r.Loc
+	r.Loc = to
 	db.version++
 	return prev
 }
@@ -309,50 +347,34 @@ func (db *DB) Clone() *DB {
 // CloneWithMoves derives the snapshot that results from applying moves
 // (record index -> new location) without copying the database: the derived
 // snapshot shares every untouched record page and the user index with db,
-// copying only the pages a move lands on, so it costs O(moves) instead of
-// the O(|D|) of Clone. Both snapshots remain fully usable. A later
-// in-place write to the derived snapshot, or to a paged db, un-shares
-// first; a write to a flat db does not, and shows through the derived
-// snapshot's pages, so no caller writes a flat db while a snapshot
-// derived from it is read.
+// copying only the pages a move lands on, so it costs O(pages + moves)
+// instead of the O(|D|) of Clone. It marks the storage of both snapshots
+// as shared, so neither is written in place again: a later write to
+// either copies the page it lands on, and never shows through the other.
+// It writes only db's sharing marks, which no reader reads: it may run
+// beside readers of db, but not beside a write or another CloneWithMoves.
 //
 // The version advances by len(moves) — the same count of bumps MoveAt
 // would have produced — so a chain of CloneWithMoves snapshots tracks the
 // version of a live DB receiving the same moves.
 func (db *DB) CloneWithMoves(moves map[int]geo.Point) *DB {
-	n := db.Len()
 	out := &DB{
-		n:           n,
+		n:           db.Len(),
 		byUser:      db.byUser,
 		sharedIndex: true,
 		version:     db.version + uint64(len(moves)),
 	}
 	db.sharedIndex = true
 	if db.pages != nil {
-		out.pages = append(make([][]Record, 0, len(db.pages)), db.pages...)
+		out.pages = slices.Clone(db.pages)
+		clear(db.owned)
 	} else {
-		// Pageify the flat parent by subslicing: no record is copied, and
-		// the full-capacity cap keeps an append from ever growing into a
-		// neighbouring page. Writes below replace whole pages, so the
-		// parent's storage is never written through.
-		out.pages = make([][]Record, (n+recPageSize-1)/recPageSize)
-		for p := range out.pages {
-			lo := p << recPageShift
-			hi := lo + recPageSize
-			if hi > n {
-				hi = n
-			}
-			out.pages[p] = db.records[lo:hi:hi]
-		}
+		out.pages = pagesOf(db.records)
+		db.shared = true
 	}
-	copied := make(map[int]struct{}, len(moves)>>4+1)
+	out.owned = make([]bool, len(out.pages))
 	for i, to := range moves {
-		p := i >> recPageShift
-		if _, ok := copied[p]; !ok {
-			out.pages[p] = append([]Record(nil), out.pages[p]...)
-			copied[p] = struct{}{}
-		}
-		out.pages[p][i&recPageMask].Loc = to
+		out.slot(i).Loc = to
 	}
 	return out
 }

@@ -19,7 +19,10 @@ import (
 // maintainer owns the live location state and applies coalesced batches to
 // it. Every field is confined to the maintenance loop after construction
 // (construction itself runs before the loop starts, so no locks are
-// needed anywhere here).
+// needed anywhere here). It never writes a DB object that a published
+// assignment holds: a rebuild derives a new db by CloneWithMoves, and a
+// matrix maintains only a db no publication is bound to (the chain
+// publishes copy-on-write views of it).
 type maintainer struct {
 	db     *location.DB
 	bounds geo.Rect
@@ -94,11 +97,11 @@ type applyResult struct {
 }
 
 // apply performs one coalesced batch against the live state and returns
-// the next policy bound to an immutable snapshot (a copy-on-write delta of
-// the previous one when possible, a full clone otherwise), verified and
-// ready to publish. A mid-batch incremental maintenance failure — which
-// leaves the matrix inconsistent with the live DB — is recovered by
-// falling back to a full rebuild instead of failing the batch.
+// the next policy, bound to a snapshot the loop never writes again,
+// verified and ready to publish. A mid-batch incremental maintenance
+// failure — which leaves the matrix inconsistent with the live DB — is
+// recovered by falling back to a full rebuild instead of failing the
+// batch.
 func (m *maintainer) apply(ctx context.Context, moves map[int]geo.Point) (applyResult, error) {
 	if m.choose(len(moves)) != StrategyIncremental {
 		return m.applyRebuild(ctx, moves)
@@ -118,11 +121,13 @@ func (m *maintainer) apply(ctx context.Context, moves map[int]geo.Point) (applyR
 
 // applyIncremental maintains the live matrix through the batch and
 // publishes through the chain: a delta while it is anchored, the full
-// extract-clone path otherwise.
+// extract path otherwise.
 func (m *maintainer) applyIncremental(ctx context.Context, moves map[int]geo.Point) (applyResult, error) {
 	if m.pub == nil {
-		// Forced-incremental pipeline adopted a policy without a
-		// matrix: build one over the pre-move state, then maintain it.
+		// Forced-incremental pipeline adopted a policy without a matrix:
+		// build one over a view of the pre-move state (the adopted policy
+		// may hold m.db itself), then maintain it.
+		m.db = m.db.CloneWithMoves(nil)
 		if err := m.newPublisher(ctx); err != nil {
 			return applyResult{}, err
 		}
@@ -139,18 +144,17 @@ func (m *maintainer) applyIncremental(ctx context.Context, moves map[int]geo.Poi
 	return applyResult{Publication: pub, strategy: StrategyIncremental}, nil
 }
 
-// applyRebuild applies the batch straight to the live DB and recomputes
-// the policy from scratch. Re-applying moves some of which an aborted
-// incremental attempt already performed is safe: MoveAt is idempotent on
-// contents, and the rebuild re-derives tree and matrix from the DB alone.
-// Incremental-capable engines rebuild through a fresh matrix and chain, so
-// later batches can go back to incremental maintenance; other engines are
-// invoked directly.
+// applyRebuild derives the next live DB by CloneWithMoves (a published
+// policy may hold the current one) and recomputes the policy from
+// scratch. Re-applying moves an aborted incremental attempt already
+// performed is safe: a move sets a location, and the rebuild re-derives
+// tree and matrix from the DB alone. Incremental-capable engines rebuild
+// through a fresh matrix and chain, so later batches can go back to
+// incremental maintenance; other engines' policies are bound to the
+// derived DB.
 func (m *maintainer) applyRebuild(ctx context.Context, moves map[int]geo.Point) (applyResult, error) {
 	m.pub = nil // the old matrix no longer matches the live DB
-	for idx, to := range moves {
-		m.db.MoveAt(idx, to)
-	}
+	m.db = m.db.CloneWithMoves(moves)
 	res := applyResult{strategy: StrategyRebuild}
 	if m.info.Incremental {
 		if err := m.newPublisher(ctx); err != nil {
@@ -166,14 +170,10 @@ func (m *maintainer) applyRebuild(ctx context.Context, moves map[int]geo.Point) 
 		if err != nil {
 			return applyResult{}, err
 		}
-		pub, err := rebind(policy)
-		if err != nil {
+		if err := m.verifyPub(ctx, policy); err != nil {
 			return applyResult{}, err
 		}
-		if err := m.verifyPub(ctx, pub); err != nil {
-			return applyResult{}, err
-		}
-		res.Policy, res.RowsExtracted, res.CloaksChanged = pub, pub.Len(), pub.Len()
+		res.Policy, res.RowsExtracted, res.CloaksChanged = policy, policy.Len(), policy.Len()
 	}
 	res.Rows = m.db.Len()
 	return res, nil
@@ -196,13 +196,6 @@ func (m *maintainer) newPublisher(ctx context.Context) error {
 	}
 	m.pub = core.NewPublisher(anon)
 	return nil
-}
-
-// rebind binds a policy to an immutable clone of its DB: the policy
-// returned by an engine references the live state the loop will keep
-// mutating, and published snapshots must never see that.
-func rebind(policy *lbs.Assignment) (*lbs.Assignment, error) {
-	return policy.Rebind(policy.DB().Clone())
 }
 
 // gate is verifyPub as the chain's publish gate.

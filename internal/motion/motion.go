@@ -17,9 +17,11 @@
 //     maintenance loop after New/NewWithState; no other goroutine may touch
 //     them.
 //   - Readers only ever see *Snapshot values through an atomic front
-//     pointer. Each snapshot binds the policy to an immutable clone of the
-//     location DB, so a (snapshot, policy) pair is internally consistent
-//     forever, even while the loop mutates the live state behind it.
+//     pointer. Each snapshot's policy is bound to a location DB the loop
+//     never writes again (location.DB's one copy-on-write rule: storage
+//     that has been shared is never written in place), so a (snapshot,
+//     policy) pair is internally consistent forever, even while the loop
+//     mutates the live state behind it.
 //   - The swap is double-buffered: the loop builds the next snapshot in its
 //     private back buffer and publishes it with a single atomic store; the
 //     previous front remains valid for readers that still hold it (the GC
@@ -278,11 +280,12 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// Snapshot is one published (location clone, policy) pair. Snapshots are
-// immutable after publication; readers may hold them indefinitely.
+// Snapshot is one published (location snapshot, policy) pair. Snapshots
+// are immutable after publication; readers may hold them indefinitely.
 type Snapshot struct {
-	// Policy is the cloak assignment, bound to an immutable clone of the
-	// location DB as it stood when the producing batch finished applying.
+	// Policy is the cloak assignment, bound to the location DB as it stood
+	// when the producing batch finished applying; the loop never writes
+	// that DB again.
 	Policy *lbs.Assignment
 	// K, Bounds, Engine and Opts echo the pipeline configuration so a
 	// snapshot is a self-contained persistence record: a Checkpoint
@@ -425,9 +428,10 @@ func New(db *location.DB, bounds geo.Rect, cfg Config) (*Pipeline, error) {
 
 // NewWithState is New for callers that already computed the snapshot's
 // state (e.g. the HTTP server after /v1/snapshot): anon, when non-nil, is
-// adopted as the live configuration matrix; policy, when non-nil, is
-// republished (rebound to an immutable clone) instead of being recomputed.
-// The pipeline takes ownership of db and anon.
+// adopted as the live configuration matrix over db; policy, when non-nil,
+// is published as epoch 1 once the gate passes it. The pipeline takes
+// ownership of db and anon and never writes policy's DB, which may be db
+// only when anon is nil (the matrix maintains its DB in place).
 func NewWithState(db *location.DB, bounds geo.Rect, cfg Config, anon *core.Anonymizer, policy *lbs.Assignment) (*Pipeline, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -468,23 +472,17 @@ func NewWithState(db *location.DB, bounds geo.Rect, cfg Config, anon *core.Anony
 	return p, nil
 }
 
-// initialSnapshot republishes (or computes) the epoch-1 snapshot.
+// initialSnapshot adopts (or computes) the epoch-1 snapshot.
 func (p *Pipeline) initialSnapshot(policy *lbs.Assignment) (*Snapshot, error) {
 	start := time.Now()
-	var pub *lbs.Assignment
-	if policy == nil {
+	pub := policy
+	if pub == nil {
 		res, err := p.m.applyRebuild(p.cfg.BaseContext, nil)
 		if err != nil {
 			return nil, err
 		}
 		pub = res.Policy
 	} else {
-		// Rebind to an immutable clone: the caller's policy references the
-		// live DB the maintenance loop is about to mutate.
-		var err error
-		if pub, err = rebind(policy); err != nil {
-			return nil, err
-		}
 		if err := p.m.verifyPub(p.cfg.BaseContext, pub); err != nil {
 			return nil, err
 		}
@@ -546,6 +544,10 @@ func (p *Pipeline) Stats() Stats {
 		Closed:          p.isClosed.Load(),
 	}
 }
+
+// setQueueDepth exports the queue depth in updates (one token each), the
+// unit of Stats.QueueDepth.
+func (p *Pipeline) setQueueDepth() { p.queueDepth.Set(int64(len(p.slots))) }
 
 // validate resolves and checks an update, returning its queued form or
 // the *RejectError that refuses it. It counts nothing: a reject is
@@ -712,7 +714,7 @@ func (p *Pipeline) loop() {
 			for range e.items {
 				<-p.slots
 			}
-			p.queueDepth.Set(int64(len(p.slots)))
+			p.setQueueDepth()
 			if len(batch)+len(e.items) > p.cfg.MaxBatch {
 				flush() // keep the element whole if it fits a batch alone
 			}
@@ -857,7 +859,7 @@ func (p *Pipeline) applyBatch(base context.Context, batch []queued, wait time.Du
 	reg.ValueHistogram("motion_batch_size").Observe(int64(len(coalesced)))
 	reg.Histogram("motion_apply_latency").Observe(elapsed)
 	reg.Gauge("motion_epoch").Set(next.Epoch)
-	p.queueDepth.Set(int64(len(p.q)))
+	p.setQueueDepth()
 	if res.strategy == StrategyIncremental {
 		p.incremental.Add(1)
 		reg.Counter("motion_apply_incremental").Inc()

@@ -50,7 +50,7 @@ func (s *Server) MotionPipeline() *motion.Pipeline {
 // startMotionLocked hands the freshly installed snapshot state over to a
 // new pipeline. Callers hold s.mu and must not touch s.db or s.anon
 // afterwards — the maintenance loop owns them now (the serving path only
-// ever reads the immutable clones the pipeline publishes).
+// ever reads the snapshots the pipeline publishes).
 func (s *Server) startMotionLocked() error {
 	if s.motionCfg == nil {
 		return nil
@@ -104,16 +104,9 @@ func (s *Server) startMotionLocked() error {
 	}
 	s.pipeline = p
 	s.anon = nil // owned by the pipeline now
+	// Epoch 1 is s.policy itself, which the maintenance loop never writes:
+	// the serving state has adopted it already.
 	s.lastEpoch.Store(p.Epoch())
-	// Adopt the pipeline's initial snapshot immediately: it is rebound to
-	// an immutable clone of the db, whereas the policy the install path
-	// produced is bound to the live db the maintenance loop now mutates.
-	// Serving from the latter would race record reads against applies.
-	snap := p.Snapshot()
-	s.policy = snap.Policy
-	if s.csp != nil {
-		s.csp.SetPolicy(snap.Policy)
-	}
 	return nil
 }
 

@@ -541,8 +541,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	bounds := geo.NewRect(0, 0, req.MapSide, req.MapSide)
 	// Incremental engines run through the core anonymizer directly so the
 	// configuration matrix survives for /v1/moves maintenance. The matrix
-	// works on a copy-on-write view of db (the first move copies the
-	// records), so the policy served from db is never written under its
+	// works on a copy-on-write view of db, whose moves copy the pages they
+	// write, so the policy served from db is never written under its
 	// readers.
 	var anon *core.Anonymizer
 	live := db
